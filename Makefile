@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 race vet lint bench-lint bench bench-gate bench-parallel bench-dist bench-obs race-obs bench-qos qos-gate bench-prov prov-gate bench-latency latency-gate build test
+.PHONY: tier1 race vet lint bench-lint bench bench-build bench-gate bench-parallel bench-dist bench-obs race-obs bench-qos qos-gate bench-prov prov-gate bench-latency latency-gate build test
 
 # tier1 is the acceptance gate: everything builds and every test passes.
 tier1: build test
@@ -42,6 +42,14 @@ bench:
 	$(GO) test ./internal/event/ -run xxx -bench . -benchtime 2s -count 1
 	$(GO) test ./internal/sched/ -run xxx -bench . -benchtime 2s -count 1
 
+# bench-build compiles and tests the benchmark, a nested module
+# (repro/benchmark, `replace repro => ../`) that `build` and `test` do not
+# reach although it calls this module's exported constructors — a changed
+# signature in internal/director, stafilos, model, ring or window breaks it
+# silently otherwise. ~5 s: every workload at 1/100 size plus the oracles.
+bench-build:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # bench-gate enforces the lock-free hot-path acceptance criteria (see
 # DESIGN.md, section "Zero-alloc hot path"): the steady-state firing loop
 # must allocate nothing, the lock-free ring invariants must hold at 1, 2
@@ -76,7 +84,9 @@ bench-parallel:
 # bench-dist reruns the bridge wire-format microbenchmarks whose numbers
 # are recorded in BENCH_dist.json (see DESIGN.md, section "Bridge wire
 # format"): binary frame encode/decode per event against the JSON-per-line
-# baseline. The binary encode column must show 0 allocs/op.
+# baseline, which lives beside the benchmarks in internal/dist/json_test.go
+# (it is not part of the shipped package). The binary encode column must
+# show 0 allocs/op.
 bench-dist:
 	$(GO) test ./internal/dist/ -run xxx -bench BenchmarkWire -benchmem -benchtime 2s -count 1
 

@@ -5,10 +5,9 @@ package analysis
 //   - An SPSC ring stored in a struct field must have a statically single
 //     producer: at most one function may TryPush to that field, unless
 //     every function that routes the field to an SPSC ring carries the
-//     //confvet:single-writer directive (NewRingReceiver's multiProducer
-//     switch and TMReceiver.MarkSingleWriter are the two blessed sites —
-//     their single-producer regime is proven by the graph, not the type
-//     system).
+//     //confvet:single-writer directive (window.Inbox.Init's multiProducer
+//     switch is the blessed site — the single-producer regime is proven
+//     by the workflow graph, not the type system).
 //   - A TryPush result may not be discarded. Lock-free pushes fail when
 //     the ring is full; the sticky-overflow receivers consult the result
 //     and spill to the overflow list — dropping it silently loses events.

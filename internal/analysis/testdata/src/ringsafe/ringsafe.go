@@ -67,7 +67,7 @@ func (d *dropper) dropBlank(v int) {
 
 // --- clean shapes ---
 
-// guarded mirrors NewRingReceiver: two producers, but the construction
+// guarded mirrors window.Inbox.Init: two producers, but the construction
 // site carries the single-writer proof.
 type guarded struct{ q *SPSC }
 

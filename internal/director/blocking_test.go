@@ -1,9 +1,8 @@
-// Package director provides the models of computation beyond the SCWF
-// director: the thread-based PNCWF director that CONFLuEnCE originally ran
-// on (the paper's baseline, with resource management delegated to the OS),
-// a deterministic virtual-time simulation of that thread-based execution
-// for the experiment grid, and the SDF/DDF inside-directors that govern the
-// Linear Road sub-workflows.
+// The mutex+condvar Windowed Receiver the thread-based engine started on.
+// RingReceiver replaced it on every edge; it stays here as the reference
+// oracle the equivalence tests and the lock-vs-ring benchmarks compare
+// against (external test files reach it as director.NewBlockingReceiver).
+
 package director
 
 import (

@@ -119,6 +119,28 @@ func TestPNCWFActorErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestThreadSimActorErrorPropagates is the simulation's twin of the test
+// above: a failing Fire must end Run with that error, not be dropped.
+func TestThreadSimActorErrorPropagates(t *testing.T) {
+	kaput := errors.New("kaput")
+	wf := model.NewWorkflow("err")
+	src := actors.NewGenerator("src", ts(0), time.Millisecond, 50,
+		func(i int) value.Value { return value.Int(int64(i)) })
+	boom := actors.NewFunc("boom", window.Passthrough(),
+		func(_ *model.FireContext, w *window.Window, emit func(value.Value)) error {
+			return kaput
+		})
+	wf.MustAdd(src, boom)
+	wf.MustConnect(src.Out(), boom.In())
+	d := director.NewThreadSim(2, 0, 0, stafilos.UniformCostModel{Cost: time.Millisecond}, nil)
+	if err := d.Setup(wf); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(context.Background()); !errors.Is(err, kaput) {
+		t.Fatalf("Run = %v, want the actor's error", err)
+	}
+}
+
 func TestCompositeRejectsUnboundInput(t *testing.T) {
 	inner := model.NewWorkflow("inner")
 	pass := actors.NewMap("pass", func(v value.Value) value.Value { return v })

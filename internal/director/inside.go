@@ -120,9 +120,15 @@ func (d *DDF) Inject(p *model.Port, w *window.Window) {
 
 // RunToQuiescence implements InsideDirector.
 func (d *DDF) RunToQuiescence(hook EmitHook) error {
+	return d.runToQuiescence(d.wf.Actors(), hook)
+}
+
+// runToQuiescence fires the actors of order that have a ready window, pass
+// after pass, until a full pass makes no progress.
+func (d *DDF) runToQuiescence(order []model.Actor, hook EmitHook) error {
 	for {
 		progress := false
-		for _, a := range d.wf.Actors() {
+		for _, a := range order {
 			for _, p := range a.Inputs() {
 				r := d.recvs[p]
 				if r == nil {
@@ -152,17 +158,8 @@ func (d *DDF) fire(a model.Actor, p *model.Port, w *window.Window, hook EmitHook
 	}
 	ctx.BeginFiring(trigger)
 	ctx.Stage(p, w)
-	ready, err := a.Prefire(ctx)
-	if err != nil {
-		return fmt.Errorf("director: DDF prefire %s: %w", a.Name(), err)
-	}
-	if ready {
-		if err := a.Fire(ctx); err != nil {
-			return fmt.Errorf("director: DDF fire %s: %w", a.Name(), err)
-		}
-		if _, err := a.Postfire(ctx); err != nil {
-			return fmt.Errorf("director: DDF postfire %s: %w", a.Name(), err)
-		}
+	if err := model.Invoke(a, ctx); err != nil {
+		return err
 	}
 	emissions := ctx.EndFiring()
 	if hook != nil {
@@ -228,28 +225,7 @@ func (d *SDF) Repetitions() map[string]int { return d.repetitions }
 // RunToQuiescence implements InsideDirector: run the pre-compiled schedule
 // repeatedly until a full pass makes no progress.
 func (d *SDF) RunToQuiescence(hook EmitHook) error {
-	for {
-		progress := false
-		for _, a := range d.schedule {
-			for _, p := range a.Inputs() {
-				r := d.recvs[p]
-				if r == nil {
-					continue
-				}
-				w, ok := r.pop()
-				if !ok {
-					continue
-				}
-				if err := d.fire(a, p, w, hook); err != nil {
-					return err
-				}
-				progress = true
-			}
-		}
-		if !progress {
-			return nil
-		}
-	}
+	return d.runToQuiescence(d.schedule, hook)
 }
 
 // rate returns the token rate of port p for actor a (default 1).

@@ -1,3 +1,9 @@
+// Package director provides the models of computation beyond the SCWF
+// director: the thread-based PNCWF director that CONFLuEnCE originally ran
+// on (the paper's baseline, with resource management delegated to the OS),
+// a deterministic virtual-time simulation of that thread-based execution
+// for the experiment grid, and the SDF/DDF inside-directors that govern the
+// Linear Road sub-workflows.
 package director
 
 import (
@@ -251,7 +257,7 @@ func (d *PNCWF) quiescent() bool {
 		return false
 	}
 	for _, r := range d.receivers {
-		if r.Pending() || r.HasDeadline() {
+		if _, timed := r.NextDeadline(); r.Pending() || timed {
 			return false
 		}
 	}
@@ -272,7 +278,7 @@ func (d *PNCWF) runSource(ctx context.Context, a model.Actor) error {
 		}
 		fctx.BeginFiring(nil)
 		start := time.Now()
-		if err := d.invoke(a, fctx); err != nil {
+		if err := model.Invoke(a, fctx); err != nil {
 			return err
 		}
 		emissions := fctx.EndFiring()
@@ -369,7 +375,7 @@ func (d *PNCWF) runActor(ctx context.Context, a model.Actor) error {
 			}
 			fctx.BeginFiring(trigger)
 			fctx.Stage(inputs[0], w)
-			err = d.invoke(a, fctx)
+			err = model.Invoke(a, fctx)
 			// EndFiring's slice is only valid until the next BeginFiring, so
 			// the batch accumulates copies of the emission records (the event
 			// pointers themselves are stable).
@@ -421,23 +427,6 @@ func (d *PNCWF) stop() {
 	d.stopped = true
 	d.mu.Unlock()
 	d.poke()
-}
-
-func (d *PNCWF) invoke(a model.Actor, fctx *model.FireContext) error {
-	ready, err := a.Prefire(fctx)
-	if err != nil {
-		return fmt.Errorf("director: prefire %s: %w", a.Name(), err)
-	}
-	if !ready {
-		return nil
-	}
-	if err := a.Fire(fctx); err != nil {
-		return fmt.Errorf("director: fire %s: %w", a.Name(), err)
-	}
-	if _, err := a.Postfire(fctx); err != nil {
-		return fmt.Errorf("director: postfire %s: %w", a.Name(), err)
-	}
-	return nil
 }
 
 // broadcastAndRecord delivers a firing's emissions through the batched

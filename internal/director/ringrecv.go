@@ -1,7 +1,6 @@
 package director
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,77 +10,46 @@ import (
 	"repro/internal/window"
 )
 
-// RingCap bounds each edge's lock-free ring; beyond it producers spill to
-// the overflow list. 1024 events absorbs ~16 firing batches of backlog
-// before any mutex is touched.
-const RingCap = 1024
-
 // ringFreeWindows sizes the passthrough window free-list: two full firing
 // batches, so the consumer can hold one batch while the next wraps.
 const ringFreeWindows = 2 * fireBatchMax
 
-// RingReceiver is the lock-free replacement for BlockingReceiver on
-// director→receiver edges: producers deliver through a bounded lock-free
-// ring (SPSC where the workflow graph proves a single upstream writer, the
-// CAS-cursor MPMC ring otherwise) and the consuming actor thread spins,
-// yields, then parks on the edge's Waiter. Two structural changes over the
-// mutex receiver make the steady state allocation- and lock-free:
+// ingestMax bounds the raw events one GetBatch pass feeds through the window
+// operator before handing out what they produced.
+const ingestMax = 4 * fireBatchMax
+
+// RingReceiver is the Windowed Receiver of the thread-based engine: a
+// window.Inbox (lock-free ring, sticky overflow, consumer-owned window
+// operator — see there for the ordering and counting protocols) plus this
+// engine's hand-off. Producers push and Wake; the consuming actor thread
+// spins, yields, then parks on the edge's Waiter, and forces due timed
+// windows itself, as the paper's PNCWF threads do.
 //
-//   - The window operator is owned by the consumer goroutine, not guarded
-//     by a lock: producers never touch it, so windowed ingestion runs
-//     single-threaded on the consumer with monitor-visible state published
-//     through atomics.
-//   - Passthrough edges (the default, and the hot path) bypass the
-//     operator entirely: each popped event is wrapped in a single-event
-//     window drawn from a fixed free-list, and Recycle returns both the
-//     window and (when permitted by the pinning protocol) the event.
+// Passthrough edges (the default, and the hot path) bypass the operator:
+// each popped event is wrapped in a single-event window drawn from a fixed
+// free-list, and Recycle returns both the window and (when permitted by the
+// pinning protocol) the event.
 //
-// Overflow protocol: producers never park inside the engine — cyclic
-// workflows would deadlock if an upstream firing could block on a full
-// downstream ring while that ring's consumer waits on the cycle. A
-// producer that finds the ring full flips ofActive and appends to the
-// mutex-guarded overflow list; once a producer has overflowed it keeps
-// overflowing (the ofActive fast check) until the consumer drains the ring
-// dry, swaps the overflow out, and clears the flag. The consumer serves
-// swapped-out overflow (pend) before touching the ring again, so each
-// producer's stream stays FIFO: its ring-era events always precede its
-// overflow-era events, and it returns to the ring only after the flag —
-// and therefore its overflow backlog — has been taken.
-//
-// Equivalence with BlockingReceiver (see TestRingReceiverEquivalence):
-// per-producer delivery order, no loss, no duplication, identical window
-// semantics, and Get/GetBatch force due timed windows exactly like the
-// blocking reader does.
+// Equivalence with the mutex+condvar reference receiver (see
+// TestRingReceiverEquivalence): per-producer delivery order, no loss, no
+// duplication, identical window semantics.
 type RingReceiver struct {
-	q    ring.Queue[*event.Event]
+	in   window.Inbox
 	wake *ring.Waiter
 	clk  clock.Clock
 	pool *event.Pool // nil disables recycling
 
 	passthrough bool
-	// op is the consumer-owned window operator (nil on passthrough edges).
-	op *window.Operator
-
-	// ofMu guards overflow; ofActive is the producers' routing flag.
-	ofMu     sync.Mutex
-	ofActive atomic.Bool
-	overflow []*event.Event
 
 	// Consumer-owned state.
-	pend      []*event.Event // swapped-out overflow being served
-	pendHead  int
-	ready     []*window.Window // op-produced windows awaiting consumption
+	ready     []*window.Window // operator-produced windows awaiting consumption
 	readyHead int
 	free      [ringFreeWindows]*window.Window // passthrough window free-list
 	freeN     int
 	one       []*window.Window // reused length-1 buffer behind Get
 
-	// Published state, read by the quiescence monitor and metrics scrapes.
-	arrivals    atomic.Int64 // events delivered by producers
-	taken       atomic.Int64 // events the consumer pulled out of the queues
-	readyCount  atomic.Int64 // windows produced but not yet handed out
-	opPending   atomic.Int64 // events buffered inside the operator
-	pubDeadline atomic.Int64 // earliest op deadline, unixnano (0 = none)
+	// readyCount publishes len(ready)-readyHead to the quiescence monitor.
+	readyCount atomic.Int64
 	// busy is true from the moment the consumer wakes until it parks or
 	// exits: it covers the gap between popping an event and the director's
 	// firing counter, so the quiescence monitor never declares an edge
@@ -93,47 +61,26 @@ type RingReceiver struct {
 // NewRingReceiver builds a receiver for the given window spec.
 // multiProducer selects the MPMC ring; pass false only when the graph
 // proves a single upstream writer goroutine. pool enables event recycling
-// (may be nil).
-//
-// single-writer: the SPSC branch is only taken when the planner has proven
-// exactly one upstream actor goroutine for this edge — Put and PutBatch are
-// both producer-side entry points, but a single-writer edge routes every
-// delivery through one goroutine, so the two call sites never race.
-//
-//confvet:single-writer
+// (may be nil); capacity <= 0 selects window.InboxCap.
 func NewRingReceiver(spec window.Spec, clk clock.Clock, pool *event.Pool, multiProducer bool, capacity int) *RingReceiver {
-	if capacity <= 0 {
-		capacity = RingCap
-	}
 	r := &RingReceiver{
-		wake: ring.NewWaiter(),
-		clk:  clk,
-		pool: pool,
-		one:  make([]*window.Window, 0, 1),
+		wake:        ring.NewWaiter(),
+		clk:         clk,
+		pool:        pool,
+		passthrough: spec.IsPassthrough(),
+		one:         make([]*window.Window, 0, 1),
 	}
-	if multiProducer {
-		r.q = ring.NewMPMC[*event.Event](capacity)
-	} else {
-		r.q = ring.NewSPSC[*event.Event](capacity)
-	}
-	if spec.IsPassthrough() {
-		r.passthrough = true
-	} else {
-		r.op = window.New(spec)
-	}
+	r.in.Init(spec, multiProducer, capacity)
 	return r
 }
 
-// Put implements model.Receiver: lock-free ring push with the overflow
-// escape hatch, then one Wake (two atomics when nobody is parked).
+// Put implements model.Receiver: one inbox push, then one Wake (two atomics
+// when nobody is parked).
 //
 //confvet:hotpath
 //confvet:noalloc
 func (r *RingReceiver) Put(ev *event.Event) {
-	r.arrivals.Add(1)
-	if r.ofActive.Load() || !r.q.TryPush(ev) {
-		r.putSlow(ev)
-	}
+	r.in.Push(ev)
 	r.wake.Wake()
 }
 
@@ -146,100 +93,20 @@ func (r *RingReceiver) PutBatch(evs []*event.Event) {
 	if len(evs) == 0 {
 		return
 	}
-	r.arrivals.Add(int64(len(evs)))
-	for _, ev := range evs {
-		if r.ofActive.Load() || !r.q.TryPush(ev) {
-			r.putSlow(ev)
-		}
-	}
+	r.in.PushBatch(evs)
 	r.wake.Wake()
 }
 
-// putSlow spills one event to the overflow list. Setting ofActive under the
-// lock keeps the flag and the list coherent: a producer that observed the
-// flag keeps appending here (preserving its own FIFO order) until the
-// consumer swaps the list out and clears the flag.
-func (r *RingReceiver) putSlow(ev *event.Event) {
-	r.ofMu.Lock()
-	r.ofActive.Store(true)
-	r.overflow = append(r.overflow, ev)
-	r.ofMu.Unlock()
-}
-
-// nextEvent pops the oldest available event: swapped-out overflow first
-// (older than anything now in the ring, per the overflow protocol), then
-// the ring, then a fresh overflow swap. Consumer goroutine only.
-//
-//confvet:hotpath
-//confvet:noalloc
-//confvet:returns-poolable
-func (r *RingReceiver) nextEvent() (*event.Event, bool) {
-	if r.pendHead < len(r.pend) {
-		ev := r.pend[r.pendHead]
-		r.pend[r.pendHead] = nil
-		r.pendHead++
-		r.taken.Add(1)
-		return ev, true
+// shell pops the passthrough window free-list; nil when it is empty
+// (warm-up, or windows pulled by a multi-input actor and never recycled).
+func (r *RingReceiver) shell() *window.Window {
+	if r.freeN == 0 {
+		return nil
 	}
-	if ev, ok := r.q.TryPop(); ok {
-		r.taken.Add(1)
-		return ev, true
-	}
-	if r.ofActive.Load() {
-		return r.takeOverflow()
-	}
-	return nil, false
-}
-
-// takeOverflow swaps the overflow list out (the ring is dry, so everything
-// in it is older than any future push) and serves its first event. The
-// previous pend backing array becomes the next overflow, so the two
-// buffers ping-pong without allocation at steady state.
-//
-//confvet:returns-poolable
-func (r *RingReceiver) takeOverflow() (*event.Event, bool) {
-	r.ofMu.Lock()
-	r.pend, r.overflow = r.overflow, r.pend[:0]
-	r.ofActive.Store(false)
-	r.ofMu.Unlock()
-	r.pendHead = 0
-	if len(r.pend) == 0 {
-		return nil, false
-	}
-	ev := r.pend[0]
-	r.pend[0] = nil
-	r.pendHead = 1
-	r.taken.Add(1)
-	return ev, true
-}
-
-// wrap turns one passthrough event into a single-event window from the
-// free-list. Ownership of ev moves into the window shell: the consuming
-// director hands the shell back through Recycle, which is the event's
-// actual release point — from the caller's perspective wrap consumes it.
-//
-//confvet:hotpath
-//confvet:noalloc
-//confvet:recycles ev
-func (r *RingReceiver) wrap(ev *event.Event) *window.Window {
-	var w *window.Window
-	if r.freeN > 0 {
-		r.freeN--
-		w = r.free[r.freeN]
-		r.free[r.freeN] = nil
-	} else {
-		w = newPassWindow()
-	}
-	w.Events[0] = ev
-	w.Time = ev.Time
-	w.Wave = ev.Wave
+	r.freeN--
+	w := r.free[r.freeN]
+	r.free[r.freeN] = nil
 	return w
-}
-
-// newPassWindow is wrap's refill path (free-list empty: warm-up, or windows
-// pulled by a multi-input actor and never recycled).
-func newPassWindow() *window.Window {
-	return &window.Window{Events: make([]*event.Event, 1)}
 }
 
 // Recycle returns passthrough windows handed out by the previous
@@ -274,8 +141,7 @@ func (r *RingReceiver) Recycle(ws []*window.Window) {
 // GetBatch blocks (spin → yield → park) until at least one window is
 // available, then hands out up to max windows appended to buf. It returns
 // false when the receiver is closed and fully drained. Due timed windows
-// are forced by the consuming thread itself, exactly like the blocking
-// receiver. Consumer goroutine only.
+// are forced by the consuming thread itself. Consumer goroutine only.
 //
 //confvet:hotpath
 func (r *RingReceiver) GetBatch(buf []*window.Window, max int) ([]*window.Window, bool) {
@@ -283,11 +149,11 @@ func (r *RingReceiver) GetBatch(buf []*window.Window, max int) ([]*window.Window
 	for {
 		if r.passthrough {
 			for len(buf) < max {
-				ev, ok := r.nextEvent()
+				ev, ok := r.in.Pop()
 				if !ok {
 					break
 				}
-				buf = append(buf, r.wrap(ev))
+				buf = append(buf, window.Wrap(r.shell(), ev))
 			}
 		} else {
 			r.ingest()
@@ -300,27 +166,16 @@ func (r *RingReceiver) GetBatch(buf []*window.Window, max int) ([]*window.Window
 			// director's firing bookkeeping and clears only at the next park.
 			return buf, true
 		}
-		if r.op != nil {
-			now := r.clk.Now()
-			if dl, ok := r.op.NextDeadline(); ok && !dl.After(now) {
-				forced := r.op.OnTime(now)
-				r.op.DrainExpired()
-				r.pushReady(forced)
-				r.publishOp()
-				if len(forced) > 0 {
-					continue
-				}
-			}
-		}
 		if r.closed.Load() {
 			r.busy.Store(false)
 			return buf, false
 		}
 		seen := r.wake.Gen()
-		// Re-check after snapshotting the generation: anything arriving
-		// after this look bumps the generation past seen, so Wait cannot
-		// miss it (see ring.Waiter).
-		if r.hasRaw() || r.closed.Load() {
+		// Re-check after snapshotting the generation. A producer counts its
+		// push before it Wakes (see window.Inbox), so an event this look
+		// does not count yet is followed by a Wake that bumps the generation
+		// past seen, and Wait cannot miss it (see ring.Waiter).
+		if r.in.HasRaw() || r.closed.Load() {
 			continue
 		}
 		r.busy.Store(false)
@@ -332,52 +187,34 @@ func (r *RingReceiver) GetBatch(buf []*window.Window, max int) ([]*window.Window
 // Get blocks until one window is available (multi-input pullers).
 func (r *RingReceiver) Get() (*window.Window, bool) {
 	ws, ok := r.GetBatch(r.one[:0], 1)
+	r.one = ws[:0]
 	if len(ws) > 0 {
-		r.one = ws[:0]
 		return ws[0], true
 	}
-	r.one = ws[:0]
 	return nil, ok
 }
 
-// ingest feeds buffered raw events through the consumer-owned window
-// operator, queueing produced windows.
+// ingest feeds buffered raw events through the inbox's window operator and,
+// when that leaves nothing to hand out, forces the timed windows that are
+// due. Expired events are dropped: they were pinned at insert, so dropping
+// never races recycling.
 //
 //confvet:hotpath
 func (r *RingReceiver) ingest() {
-	const ingestMax = 4 * fireBatchMax
-	n := 0
-	var now time.Time
-	for n < ingestMax {
-		ev, ok := r.nextEvent()
-		if !ok {
-			break
+	had := len(r.ready)
+	now := r.clk.Now()
+	r.ready, _ = r.in.Ingest(now, ingestMax, r.ready)
+	if r.readyHead == len(r.ready) {
+		if dl, ok := r.in.NextDeadline(); ok && !dl.After(now) {
+			r.ready, _ = r.in.Force(now, r.ready)
 		}
-		if n == 0 {
-			now = r.clk.Now()
-		}
-		n++
-		r.pushReady(r.op.Put(ev, now))
 	}
-	if n > 0 {
-		// Expired events are dropped, as in the blocking receiver; the
-		// events were pinned at insert so dropping never races recycling.
-		r.op.DrainExpired()
-		r.publishOp()
-	}
+	r.readyCount.Add(int64(len(r.ready) - had))
 }
 
-// pushReady queues produced windows for hand-out.
-func (r *RingReceiver) pushReady(ws []*window.Window) {
-	if len(ws) == 0 {
-		return
-	}
-	r.ready = append(r.ready, ws...)
-	r.readyCount.Add(int64(len(ws)))
-}
-
-// popReady dequeues the oldest ready window, compacting like the blocking
-// receiver's queue.
+// popReady dequeues the oldest ready window. The vacated slot is nilled so
+// the consumed window becomes collectable, and the queue compacts once the
+// dead prefix outweighs the live tail.
 func (r *RingReceiver) popReady() *window.Window {
 	w := r.ready[r.readyHead]
 	r.ready[r.readyHead] = nil
@@ -389,41 +226,17 @@ func (r *RingReceiver) popReady() *window.Window {
 		r.readyHead = 0
 	case r.readyHead >= 32 && r.readyHead*2 >= len(r.ready):
 		n := copy(r.ready, r.ready[r.readyHead:])
-		for i := n; i < len(r.ready); i++ {
-			r.ready[i] = nil
-		}
+		clear(r.ready[n:])
 		r.ready = r.ready[:n]
 		r.readyHead = 0
 	}
 	return w
 }
 
-// publishOp refreshes the monitor-visible operator state (the consumer owns
-// the operator; everyone else reads these atomics).
-func (r *RingReceiver) publishOp() {
-	r.opPending.Store(int64(r.op.Pending()))
-	if dl, ok := r.op.NextDeadline(); ok {
-		r.pubDeadline.Store(dl.UnixNano())
-	} else {
-		r.pubDeadline.Store(0)
-	}
-}
-
-// hasRaw reports whether undelivered raw events exist anywhere (ring,
-// overflow, or swapped-out pend).
-//
-//confvet:noalloc
-func (r *RingReceiver) hasRaw() bool {
-	return r.arrivals.Load() > r.taken.Load()
-}
-
 // parkBound bounds a park by the operator's next formation deadline so the
 // consuming thread wakes to force timed windows on its own.
 func (r *RingReceiver) parkBound() time.Duration {
-	if r.op == nil {
-		return 0
-	}
-	dl, ok := r.op.NextDeadline()
+	dl, ok := r.in.NextDeadline()
 	if !ok {
 		return 0
 	}
@@ -443,39 +256,19 @@ func (r *RingReceiver) Close() {
 
 // Pending reports whether the edge still holds undelivered work: raw
 // events not yet pulled, produced windows not yet handed out, or a
-// consumer that is awake between a pop and its firing. It mirrors the
-// blocking receiver's role in quiescence detection — events buffered
-// inside an open window do not count (they may never form a window), raw
-// unprocessed events do.
+// consumer that is awake between a pop and its firing. Events buffered
+// inside an open window do not count (they may never form a window); a
+// pending formation deadline is reported by NextDeadline.
 func (r *RingReceiver) Pending() bool {
-	return r.hasRaw() || r.readyCount.Load() > 0 || r.busy.Load()
+	return r.in.HasRaw() || r.readyCount.Load() > 0 || r.busy.Load()
 }
 
 // Depth implements model.DepthReporter: raw backlog plus ready windows plus
 // events buffered in open windows.
 func (r *RingReceiver) Depth() int {
-	n := r.arrivals.Load() - r.taken.Load()
-	if n < 0 {
-		n = 0
-	}
-	return int(n + r.readyCount.Load() + r.opPending.Load())
-}
-
-// HasDeadline reports whether a timed window could still be forced out.
-func (r *RingReceiver) HasDeadline() bool {
-	return r.pubDeadline.Load() != 0
+	return r.in.Depth() + int(r.readyCount.Load())
 }
 
 // NextDeadline reports the earliest pending window-formation deadline, as
 // last published by the consumer.
-func (r *RingReceiver) NextDeadline() (time.Time, bool) {
-	ns := r.pubDeadline.Load()
-	if ns == 0 {
-		return time.Time{}, false
-	}
-	return time.Unix(0, ns), true
-}
-
-// Operator exposes the consumer-owned window operator for tests and
-// diagnostics; never touch it while the consumer goroutine runs.
-func (r *RingReceiver) Operator() *window.Operator { return r.op }
+func (r *RingReceiver) NextDeadline() (time.Time, bool) { return r.in.NextDeadline() }

@@ -96,7 +96,7 @@ type simEvent struct {
 	kind simKind
 	item stafilos.ReadyItem // itemReady
 	src  model.Actor        // sourceDue / fireDone
-	done func()             // fireDone completion
+	done func() error       // fireDone completion
 }
 
 type simKind int
@@ -200,40 +200,21 @@ func (d *ThreadSim) Run(ctx context.Context) error {
 		case sourceDue:
 			d.dispatchSource(ev.src)
 		case fireDone:
-			ev.done()
-			d.pollTimeouts()
+			if err := ev.done(); err != nil {
+				return err
+			}
+			stafilos.PollTimeouts(d.recvs, d.clk.Now())
 			d.dispatch()
 		}
 		if len(d.events) == 0 && len(d.runnable) == 0 {
 			// Only window-formation deadlines can create more work.
-			if dl, ok := d.earliestDeadline(); ok {
+			if dl, ok := stafilos.EarliestDeadline(d.recvs); ok {
 				d.clk.AdvanceTo(dl)
-				d.pollTimeouts()
+				stafilos.PollTimeouts(d.recvs, d.clk.Now())
 			}
 		}
 	}
 	return ctx.Err()
-}
-
-// earliestDeadline scans receivers for the soonest pending window timeout.
-func (d *ThreadSim) earliestDeadline() (time.Time, bool) {
-	var best time.Time
-	found := false
-	for _, r := range d.recvs {
-		if dl, ok := r.NextDeadline(); ok && (!found || dl.Before(best)) {
-			best, found = dl, true
-		}
-	}
-	return best, found
-}
-
-func (d *ThreadSim) pollTimeouts() {
-	now := d.clk.Now()
-	for _, r := range d.recvs {
-		if dl, ok := r.NextDeadline(); ok && !dl.After(now) {
-			r.OnTime(now)
-		}
-	}
 }
 
 // freeCore returns the index of a core available at or before now, or -1.
@@ -276,12 +257,12 @@ func (d *ThreadSim) startFiring(core int, now time.Time, item stafilos.ReadyItem
 	d.lockFree = lockStart.Add(serial)
 	d.cores[core] = end
 
-	d.push(simEvent{at: end, kind: fireDone, src: a, done: func() {
-		d.completeFiring(a, item, cost)
+	d.push(simEvent{at: end, kind: fireDone, src: a, done: func() error {
+		return d.completeFiring(a, item, cost)
 	}})
 }
 
-func (d *ThreadSim) completeFiring(a model.Actor, item stafilos.ReadyItem, cost time.Duration) {
+func (d *ThreadSim) completeFiring(a model.Actor, item stafilos.ReadyItem, cost time.Duration) error {
 	ctx := d.ctxs[a.Name()]
 	var trigger *event.Event
 	if n := item.Win.Len(); n > 0 {
@@ -289,10 +270,8 @@ func (d *ThreadSim) completeFiring(a model.Actor, item stafilos.ReadyItem, cost 
 	}
 	ctx.BeginFiring(trigger)
 	ctx.Stage(item.Port, item.Win)
-	if ready, err := a.Prefire(ctx); err == nil && ready {
-		if err := a.Fire(ctx); err == nil {
-			a.Postfire(ctx)
-		}
+	if err := model.Invoke(a, ctx); err != nil {
+		return err
 	}
 	emissions := ctx.EndFiring()
 	d.scratch = model.BroadcastEmissions(emissions, d.scratch)
@@ -300,6 +279,7 @@ func (d *ThreadSim) completeFiring(a model.Actor, item stafilos.ReadyItem, cost 
 	if ctx.Stopped() {
 		d.stop = true
 	}
+	return nil
 }
 
 // dispatchSource runs one per-token source pump: the source thread wakes,
@@ -329,21 +309,25 @@ func (d *ThreadSim) dispatchSource(a model.Actor) {
 	d.lockFree = lockStart.Add(serial)
 	d.cores[core] = end
 
-	d.push(simEvent{at: end, kind: fireDone, src: a, done: func() {
-		d.completeSource(a, cost)
+	d.push(simEvent{at: end, kind: fireDone, src: a, done: func() error {
+		return d.completeSource(a, cost)
 	}})
 }
 
-func (d *ThreadSim) completeSource(a model.Actor, cost time.Duration) {
+func (d *ThreadSim) completeSource(a model.Actor, cost time.Duration) error {
 	ctx := d.ctxs[a.Name()]
 	ctx.BeginFiring(nil)
 	type oneShot interface {
 		FireOne(ctx *model.FireContext) error
 	}
+	var err error
 	if os, ok := a.(oneShot); ok {
-		os.FireOne(ctx)
+		err = os.FireOne(ctx)
 	} else {
-		a.Fire(ctx)
+		err = a.Fire(ctx)
+	}
+	if err != nil {
+		return fmt.Errorf("director: fire source %s: %w", a.Name(), err)
 	}
 	emissions := ctx.EndFiring()
 	d.scratch = model.BroadcastEmissions(emissions, d.scratch)
@@ -361,4 +345,5 @@ func (d *ThreadSim) completeSource(a model.Actor, cost time.Duration) {
 			d.push(simEvent{at: at, kind: sourceDue, src: a})
 		}
 	}
+	return nil
 }

@@ -11,7 +11,8 @@ import (
 
 // The original bridge wire format: one JSON object per line per event. The
 // binary frame format (frame.go) replaced it on the wire; the codec stays
-// as the baseline `make bench-dist` measures the binary format against.
+// in this test file as the baseline `make bench-dist` measures the binary
+// format against.
 
 // wireEvent is the JSON-serialized form of one event crossing a bridge.
 type wireEvent struct {

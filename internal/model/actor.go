@@ -30,6 +30,26 @@ type Actor interface {
 	Wrapup() error
 }
 
+// Invoke drives one iteration of a on ctx: Prefire, then — when the actor
+// reports ready — Fire and Postfire. Every director fires its actors through
+// it; the error names the phase and the actor.
+func Invoke(a Actor, ctx *FireContext) error {
+	ready, err := a.Prefire(ctx)
+	if err != nil {
+		return fmt.Errorf("model: prefire %s: %w", a.Name(), err)
+	}
+	if !ready {
+		return nil
+	}
+	if err := a.Fire(ctx); err != nil {
+		return fmt.Errorf("model: fire %s: %w", a.Name(), err)
+	}
+	if _, err := a.Postfire(ctx); err != nil {
+		return fmt.Errorf("model: postfire %s: %w", a.Name(), err)
+	}
+	return nil
+}
+
 // SourceActor marks actors that pump external data into the workflow.
 // Schedulers treat sources specially (the paper regulates data entering the
 // workflow by scheduling sources independently of internal actors).

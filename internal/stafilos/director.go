@@ -47,47 +47,21 @@ type Options struct {
 // component that interacts with the workflow model, initializes actors,
 // ports, receivers and the scheduler, and transitions the workflow through
 // the execution stages of each iteration. The scheduling policy is plugged
-// in as a Scheduler implementation.
+// in as a Scheduler implementation. It is the sequential driver over the
+// shared SCWF core: one thread, steppable, and — with a cost model — the
+// only path that runs virtual time.
 type Director struct {
-	sched Scheduler
-	clk   clock.Clock
-	stats *stats.Registry
-	cost  CostModel
-	obs   *obs.Engine
-	env   *Env
+	scwf
+	cost CostModel
 
-	wf         *model.Workflow
-	receivers  []*TMReceiver
-	recvByPort map[*model.Port]*TMReceiver
-	ctxs       map[string]*model.FireContext
-	entries    map[string]*stats.Entry
-	scratch    []*event.Event
-	setup      bool
-	stopped    bool
+	ctxs    map[string]*model.FireContext
+	scratch []*event.Event
+	stopped bool
 }
 
 // NewDirector builds an SCWF director running the given scheduling policy.
 func NewDirector(sched Scheduler, opts Options) *Director {
-	if opts.Clock == nil {
-		opts.Clock = clock.NewReal()
-	}
-	if opts.Stats == nil {
-		opts.Stats = stats.NewRegistry()
-	}
-	return &Director{
-		sched: sched,
-		clk:   opts.Clock,
-		stats: opts.Stats,
-		cost:  opts.Cost,
-		obs:   opts.Obs,
-		env: &Env{
-			Clock:          opts.Clock,
-			Stats:          opts.Stats,
-			Priorities:     opts.Priorities,
-			SourceInterval: opts.SourceInterval,
-			Obs:            opts.Obs,
-		},
-	}
+	return &Director{scwf: newSCWF(sched, opts), cost: opts.Cost}
 }
 
 // Name implements model.Director.
@@ -96,69 +70,22 @@ func (d *Director) Name() string { return "SCWF/" + d.sched.Name() }
 // Clock returns the engine clock.
 func (d *Director) Clock() clock.Clock { return d.clk }
 
-// Stats returns the runtime statistics registry.
-func (d *Director) Stats() *stats.Registry { return d.stats }
-
 // Scheduler returns the plugged-in scheduling policy.
 func (d *Director) Scheduler() Scheduler { return d.sched }
 
 // Receiver returns the TM Windowed Receiver installed on port, or nil.
-func (d *Director) Receiver(port *model.Port) *TMReceiver {
-	for _, r := range d.receivers {
-		if r.Port() == port {
-			return r
-		}
-	}
-	return nil
-}
+func (d *Director) Receiver(port *model.Port) *TMReceiver { return d.recvByPort[port] }
 
-// Setup implements model.Director: it validates the workflow, installs a TM
-// Windowed Receiver on every input port, registers the actors (classifying
-// sources) with the scheduler, and initializes every actor.
+// Setup implements model.Director. The sequential director pools no events
+// (they are left to the GC) and runs everything on one goroutine.
 func (d *Director) Setup(wf *model.Workflow) error {
-	if d.setup {
-		return fmt.Errorf("stafilos: director already set up")
-	}
-	if err := wf.Validate(); err != nil {
+	if err := d.install(wf, nil, true); err != nil {
 		return err
-	}
-	d.wf = wf
-	d.env.WF = wf
-	if err := d.sched.Init(d.env); err != nil {
-		return err
-	}
-
-	be, hasBatch := d.sched.(BatchEnqueuer)
-	d.recvByPort = make(map[*model.Port]*TMReceiver, len(wf.InputPorts()))
-	for _, p := range wf.InputPorts() {
-		r := NewTMReceiver(p, d.clk, d.stats, d.sched.Enqueue)
-		if hasBatch {
-			r.SetBatchEnqueue(be.EnqueueBatch)
-		}
-		// The sequential director runs everything on one goroutine, so
-		// every windowed ring is single-writer.
-		r.MarkSingleWriter()
-		p.SetReceiver(r)
-		d.receivers = append(d.receivers, r)
-		d.recvByPort[p] = r
-	}
-
-	sources := map[string]bool{}
-	for _, s := range wf.Sources() {
-		sources[s.Name()] = true
 	}
 	d.ctxs = make(map[string]*model.FireContext, len(wf.Actors()))
-	d.entries = make(map[string]*stats.Entry, len(wf.Actors()))
 	for _, a := range wf.Actors() {
-		d.sched.Register(a, sources[a.Name()])
-		ctx := model.NewFireContext(d.clk, event.NewTimekeeper())
-		d.ctxs[a.Name()] = ctx
-		d.entries[a.Name()] = d.stats.Entry(a.Name())
-		if err := a.Initialize(ctx); err != nil {
-			return fmt.Errorf("stafilos: initialize %s: %w", a.Name(), err)
-		}
+		d.ctxs[a.Name()] = model.NewFireContext(d.clk, event.NewTimekeeper())
 	}
-	d.setup = true
 	return nil
 }
 
@@ -167,11 +94,11 @@ func (d *Director) Setup(wf *model.Workflow) error {
 // scheduler perform its end-of-iteration maintenance (re-quantification,
 // queue swaps, period rollover). It reports whether any work was done.
 func (d *Director) Step() (bool, error) {
-	if !d.setup {
+	if d.wf == nil {
 		return false, model.ErrNotSetup
 	}
 	worked := false
-	d.pollTimeouts()
+	PollTimeouts(d.receivers, d.clk.Now())
 	d.sched.IterationBegin()
 	for !d.stopped {
 		e := d.sched.NextActor()
@@ -188,7 +115,7 @@ func (d *Director) Step() (bool, error) {
 			return worked, err
 		}
 		worked = worked || w
-		d.pollTimeouts()
+		PollTimeouts(d.receivers, d.clk.Now())
 	}
 	d.sched.IterationEnd()
 	return worked, nil
@@ -218,10 +145,10 @@ func (d *Director) fireEntry(e *Entry) (bool, error) {
 
 	fireAt := d.clk.Now()
 	start := time.Now()
-	emissions, err := d.invoke(a, ctx)
-	if err != nil {
+	if err := model.Invoke(a, ctx); err != nil {
 		return true, err
 	}
+	emissions := ctx.EndFiring()
 	cost := d.charge(a, start, item.Win.Len(), len(emissions))
 	d.deliver(emissions)
 	d.entries[a.Name()].RecordFiring(cost, item.Win.Len(), len(emissions), d.clk.Now())
@@ -233,13 +160,7 @@ func (d *Director) fireEntry(e *Entry) (bool, error) {
 		}
 		d.obs.FiringObserved(a.Name(), trigger, emissions, fireAt, cost, qw, item.Win.Len())
 	}
-	// Recycle point: the consumed window is dead — emissions delivered,
-	// trace recorded, nothing downstream retains it. The shell returns to
-	// the receiver's free-list (the sequential director pools no events, so
-	// the event itself is left to the GC).
-	if r, ok := d.recvByPort[item.Port]; ok {
-		r.Recycle(item.Win)
-	}
+	d.recycle(&item)
 	if ctx.Stopped() {
 		d.stopped = true
 	}
@@ -260,10 +181,10 @@ func (d *Director) fireSource(e *Entry) (bool, error) {
 	ctx.BeginFiring(nil)
 	fireAt := now
 	start := time.Now()
-	emissions, err := d.invoke(a, ctx)
-	if err != nil {
+	if err := model.Invoke(a, ctx); err != nil {
 		return true, err
 	}
+	emissions := ctx.EndFiring()
 	cost := d.charge(a, start, 0, len(emissions))
 	d.deliver(emissions)
 	d.entries[a.Name()].RecordFiring(cost, 0, len(emissions), d.clk.Now())
@@ -275,23 +196,6 @@ func (d *Director) fireSource(e *Entry) (bool, error) {
 		d.stopped = true
 	}
 	return len(emissions) > 0, nil
-}
-
-// invoke drives one prefire/fire/postfire cycle and returns the emissions.
-func (d *Director) invoke(a model.Actor, ctx *model.FireContext) ([]model.Emission, error) {
-	ready, err := a.Prefire(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("stafilos: prefire %s: %w", a.Name(), err)
-	}
-	if ready {
-		if err := a.Fire(ctx); err != nil {
-			return nil, fmt.Errorf("stafilos: fire %s: %w", a.Name(), err)
-		}
-		if _, err := a.Postfire(ctx); err != nil {
-			return nil, fmt.Errorf("stafilos: postfire %s: %w", a.Name(), err)
-		}
-	}
-	return ctx.EndFiring(), nil
 }
 
 // charge computes the firing cost (modelled or measured) and advances the
@@ -314,22 +218,12 @@ func (d *Director) deliver(emissions []model.Emission) {
 	d.scratch = model.BroadcastEmissions(emissions, d.scratch)
 }
 
-// pollTimeouts fires window-formation timeouts that are due.
-func (d *Director) pollTimeouts() {
-	now := d.clk.Now()
-	for _, r := range d.receivers {
-		if dl, ok := r.NextDeadline(); ok && !dl.After(now) {
-			r.OnTime(now)
-		}
-	}
-}
-
 // Run implements model.Director: it steps until the workflow stops, all
 // sources are exhausted with no pending work, or ctx is cancelled. When a
 // step does no work, the director advances idle time to the next event
 // horizon (virtual clocks jump; real clocks sleep).
 func (d *Director) Run(ctx context.Context) error {
-	if !d.setup {
+	if d.wf == nil {
 		return model.ErrNotSetup
 	}
 	defer d.wrapup()
@@ -374,13 +268,6 @@ func (d *Director) Run(ctx context.Context) error {
 			continue
 		}
 		d.advanceTo(next)
-	}
-}
-
-// wrapup releases actor resources after execution ends.
-func (d *Director) wrapup() {
-	for _, a := range d.wf.Actors() {
-		a.Wrapup()
 	}
 }
 
@@ -434,17 +321,6 @@ func (d *Director) AdvanceIdle() bool {
 	return true
 }
 
-// ActorQueueDepths yields per-actor scheduler backlog when the policy
-// exposes it (every internal/sched policy does, via stafilos.Base); the
-// introspection layer scrapes it.
-func (d *Director) ActorQueueDepths(yield func(actor string, ready, buffered int)) {
-	if q, ok := d.sched.(interface {
-		ActorQueueDepths(func(string, int, int))
-	}); ok {
-		q.ActorQueueDepths(yield)
-	}
-}
-
 // totalQueued reports the scheduler backlog when the policy exposes it.
 func (d *Director) totalQueued() int {
 	type counter interface{ TotalQueued() int }
@@ -457,23 +333,11 @@ func (d *Director) totalQueued() int {
 // nextHorizon returns the earliest future instant at which new work can
 // appear: a window-timeout deadline or a source's next external event.
 func (d *Director) nextHorizon() (time.Time, bool) {
-	var best time.Time
-	found := false
-	consider := func(t time.Time) {
-		if !found || t.Before(best) {
-			best = t
-			found = true
-		}
-	}
-	for _, r := range d.receivers {
-		if dl, ok := r.NextDeadline(); ok {
-			consider(dl)
-		}
-	}
+	best, found := EarliestDeadline(d.receivers)
 	for _, a := range d.wf.Sources() {
 		if ps, ok := a.(PushSource); ok && !ps.Exhausted() {
-			if t, ok := ps.NextEventTime(); ok {
-				consider(t)
+			if t, ok := ps.NextEventTime(); ok && (!found || t.Before(best)) {
+				best, found = t, true
 			}
 		}
 	}
@@ -492,16 +356,5 @@ func (d *Director) advanceTo(t time.Time) {
 			time.Sleep(dt)
 		}
 	}
-	d.pollTimeouts()
-}
-
-func (d *Director) sourcesExhausted() bool {
-	for _, a := range d.wf.Sources() {
-		if sa, ok := a.(model.SourceActor); ok {
-			if !sa.Exhausted() {
-				return false
-			}
-		}
-	}
-	return true
+	PollTimeouts(d.receivers, d.clk.Now())
 }

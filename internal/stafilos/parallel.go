@@ -11,7 +11,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/event"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/ring"
 	"repro/internal/stats"
 )
@@ -27,13 +26,13 @@ import (
 //   - each actor entry carries its own ready-queue lock and an atomic
 //     firing flag, so a worker owns an actor's windows from a successful
 //     Claim until EndFire;
-//   - each input port's receiver guards its window operator with its own
-//     mutex;
+//   - each windowed input port's receiver elects one drainer at a time for
+//     its window operator (the draining CAS);
 //   - per-actor statistics live in per-entry shards (internal/stats).
 //
 // A worker that finishes a firing delivers its emissions straight through
-// BroadcastEmissions (receivers lock themselves and enqueue produced
-// windows at the scheduler) and claims its next actor directly from the
+// BroadcastEmissions (receivers enqueue produced windows at the
+// scheduler) and claims its next actor directly from the
 // policy — the only serialization left on the hot path is the policy lock
 // and the locks of the ports actually touched.
 //
@@ -43,22 +42,13 @@ import (
 // (workers claim through Claim, which walks the policy's own NextActor
 // order and only skips actors that are mid-firing on another worker).
 // It always runs in real time (parallel firings have no single virtual
-// timeline).
+// timeline), which is why the sequential Director remains beside it as the
+// second driver over the shared SCWF core.
 type ParallelDirector struct {
-	sched   ConcurrentScheduler
-	clk     clock.Clock
-	stats   *stats.Registry
-	obs     *obs.Engine
-	env     *Env
+	scwf
+	// claimer is scwf.sched under the concurrent contract.
+	claimer ConcurrentScheduler
 	workers int
-
-	wf        *model.Workflow
-	receivers []*TMReceiver
-	// recvByPort resolves a fired item's port to its receiver for the
-	// post-broadcast recycle call (read-only after Setup).
-	recvByPort map[*model.Port]*TMReceiver
-	entries    map[string]*stats.Entry
-	setup      bool
 
 	// evpool is the director-wide CWEvent free-list behind the zero-alloc
 	// firing loop: pooled timekeepers draw from it and consumed passthrough
@@ -127,25 +117,15 @@ func NewParallelDirector(sched Scheduler, opts Options, workers int) *ParallelDi
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Stats == nil {
-		opts.Stats = stats.NewRegistry()
-	}
+	opts.Clock = clock.NewReal() // parallel execution is real-time only
+	cs := Synchronize(sched)
 	d := &ParallelDirector{
-		sched:   Synchronize(sched),
-		clk:     clock.NewReal(), // parallel execution is real-time only
-		stats:   opts.Stats,
-		obs:     opts.Obs,
+		scwf:    newSCWF(cs, opts),
+		claimer: cs,
 		workers: workers,
-		env: &Env{
-			Clock:          clock.NewReal(),
-			Stats:          opts.Stats,
-			Priorities:     opts.Priorities,
-			SourceInterval: opts.SourceInterval,
-			Obs:            opts.Obs,
-		},
+		wake:    ring.NewWaiter(),
+		evpool:  event.NewPool(scwfEventPoolCap),
 	}
-	d.wake = ring.NewWaiter()
-	d.evpool = event.NewPool(scwfEventPoolCap)
 	d.pool.New = func() any {
 		tk := event.NewTimekeeper()
 		tk.SetPool(d.evpool)
@@ -158,9 +138,6 @@ func NewParallelDirector(sched Scheduler, opts Options, workers int) *ParallelDi
 func (d *ParallelDirector) Name() string {
 	return fmt.Sprintf("SCWF-parallel(%d)/%s", d.workers, d.sched.Name())
 }
-
-// Stats returns the runtime statistics registry.
-func (d *ParallelDirector) Stats() *stats.Registry { return d.stats }
 
 // Workers returns the configured worker count.
 func (d *ParallelDirector) Workers() int { return d.workers }
@@ -176,77 +153,20 @@ func (d *ParallelDirector) Executing() int {
 	return int(d.executing.Level())
 }
 
-// ActorQueueDepths yields per-actor scheduler backlog when the policy
-// exposes it (every internal/sched policy does, via stafilos.Base); the
-// introspection layer scrapes it.
-func (d *ParallelDirector) ActorQueueDepths(yield func(actor string, ready, buffered int)) {
-	if q, ok := d.sched.(interface {
-		ActorQueueDepths(func(string, int, int))
-	}); ok {
-		q.ActorQueueDepths(yield)
-	}
-}
-
-// Setup implements model.Director.
+// Setup implements model.Director. Consumed passthrough windows release
+// their events into the director-wide pool.
 func (d *ParallelDirector) Setup(wf *model.Workflow) error {
-	if d.setup {
-		return fmt.Errorf("stafilos: parallel director already set up")
-	}
-	if err := wf.Validate(); err != nil {
-		return err
-	}
-	d.wf = wf
-	d.env.WF = wf
-	if err := d.sched.Init(d.env); err != nil {
-		return err
-	}
-	be, hasBatch := d.sched.(BatchEnqueuer)
-	d.recvByPort = make(map[*model.Port]*TMReceiver, len(wf.InputPorts()))
-	for _, p := range wf.InputPorts() {
-		r := NewTMReceiver(p, d.clk, d.stats, d.sched.Enqueue)
-		r.SetPool(d.evpool)
-		if hasBatch {
-			r.SetBatchEnqueue(be.EnqueueBatch)
-		}
-		if len(p.Sources()) <= 1 {
-			// One upstream writer port: its actor's firing flag serializes
-			// producers, and EndFire→TryFire orders their ring accesses, so
-			// the SPSC ring is safe even across workers.
-			r.MarkSingleWriter()
-		}
-		p.SetReceiver(r)
-		d.receivers = append(d.receivers, r)
-		d.recvByPort[p] = r
-	}
-	sources := map[string]bool{}
-	for _, s := range wf.Sources() {
-		sources[s.Name()] = true
-	}
-	d.entries = make(map[string]*stats.Entry, len(wf.Actors()))
-	for _, a := range wf.Actors() {
-		d.sched.Register(a, sources[a.Name()])
-		d.entries[a.Name()] = d.stats.Entry(a.Name())
-		ctx := model.NewFireContext(d.clk, event.NewTimekeeper())
-		if err := a.Initialize(ctx); err != nil {
-			return fmt.Errorf("stafilos: initialize %s: %w", a.Name(), err)
-		}
-	}
-	d.setup = true
-	return nil
+	return d.install(wf, d.evpool, false)
 }
 
 // Run implements model.Director: it starts the worker pool and a timer
 // coordinator and blocks until the workflow stops, everything drains, a
 // firing fails, or ctx is cancelled.
 func (d *ParallelDirector) Run(ctx context.Context) error {
-	if !d.setup {
+	if d.wf == nil {
 		return model.ErrNotSetup
 	}
-	defer func() {
-		for _, a := range d.wf.Actors() {
-			a.Wrapup()
-		}
-	}()
+	defer d.wrapup()
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -316,14 +236,14 @@ func (d *ParallelDirector) claim() *Entry {
 	var e *Entry
 	if d.obs != nil {
 		begin := time.Now()
-		e = d.sched.Claim()
+		e = d.claimer.Claim()
 		name := ""
 		if e != nil {
 			name = e.Actor.Name()
 		}
 		d.obs.ClaimObserved(name, time.Since(begin))
 	} else {
-		e = d.sched.Claim()
+		e = d.claimer.Claim()
 	}
 	if e == nil {
 		d.inFlight.Add(-1)
@@ -400,7 +320,7 @@ func (d *ParallelDirector) fireSource(e *Entry) {
 	ctx.BeginFiring(nil)
 	fireAt := d.clk.Now()
 	start := time.Now()
-	fireErr := d.lifecycle(a, ctx)
+	fireErr := model.Invoke(a, ctx)
 	emissions := ctx.EndFiring()
 	cost := time.Since(start)
 
@@ -456,7 +376,7 @@ func (d *ParallelDirector) fireBatch(e *Entry, fs *firingScratch) {
 		ctx.BeginFiring(trigger)
 		ctx.Stage(item.Port, item.Win)
 		emStart := len(fs.emitted)
-		fireErr = d.lifecycle(a, ctx)
+		fireErr = model.Invoke(a, ctx)
 		fs.emitted = append(fs.emitted, ctx.EndFiring()...)
 		fired++
 		consumed += item.Win.Len()
@@ -484,10 +404,7 @@ func (d *ParallelDirector) fireBatch(e *Entry, fs *firingScratch) {
 	// Consumed inputs are dead past this point: trace recorded, emissions
 	// broadcast, windows never handed to anything that may retain them.
 	for i := range fs.items {
-		item := &fs.items[i]
-		if r, ok := d.recvByPort[item.Port]; ok {
-			r.Recycle(item.Win)
-		}
+		d.recycle(&fs.items[i])
 		fs.items[i] = ReadyItem{}
 	}
 	if ctx.Stopped() {
@@ -504,24 +421,6 @@ func (d *ParallelDirector) fireBatch(e *Entry, fs *firingScratch) {
 	d.kick()
 }
 
-// lifecycle drives one prefire/fire/postfire cycle.
-func (d *ParallelDirector) lifecycle(a model.Actor, ctx *model.FireContext) error {
-	ready, err := a.Prefire(ctx)
-	if err != nil {
-		return fmt.Errorf("stafilos: prefire %s: %w", a.Name(), err)
-	}
-	if !ready {
-		return nil
-	}
-	if err := a.Fire(ctx); err != nil {
-		return fmt.Errorf("stafilos: fire %s: %w", a.Name(), err)
-	}
-	if _, err := a.Postfire(ctx); err != nil {
-		return fmt.Errorf("stafilos: postfire %s: %w", a.Name(), err)
-	}
-	return nil
-}
-
 // coordinate is the light housekeeping goroutine: it fires due window
 // timeouts and wakes the workers on a short tick, which also serves as the
 // polling cadence for real-time paced sources. It does no scheduling.
@@ -534,7 +433,7 @@ func (d *ParallelDirector) coordinate(ctx context.Context) {
 			d.kick()
 			return
 		case <-ticker.C:
-			d.pollTimeouts()
+			PollTimeouts(d.receivers, d.clk.Now())
 			d.kick()
 		}
 	}
@@ -631,22 +530,4 @@ func (d *ParallelDirector) fail(err error) {
 	}
 	d.stateMu.Unlock()
 	d.wake.Wake()
-}
-
-func (d *ParallelDirector) pollTimeouts() {
-	now := d.clk.Now()
-	for _, r := range d.receivers {
-		if dl, ok := r.NextDeadline(); ok && !dl.After(now) {
-			r.OnTime(now)
-		}
-	}
-}
-
-func (d *ParallelDirector) sourcesExhausted() bool {
-	for _, a := range d.wf.Sources() {
-		if sa, ok := a.(model.SourceActor); ok && !sa.Exhausted() {
-			return false
-		}
-	}
-	return true
 }

@@ -1,7 +1,7 @@
 package stafilos
 
 import (
-	"sync"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -13,12 +13,8 @@ import (
 	"repro/internal/window"
 )
 
-// tmRingCap bounds each windowed input port's lock-free ring; beyond it
-// producers spill to the mutex-guarded overflow list (they never park).
-const tmRingCap = 1024
-
 // tmShellCap sizes the passthrough window-shell free-list shared between
-// producers (wrap) and the consuming worker (Recycle).
+// producers (Put) and the consuming worker (Recycle).
 const tmShellCap = 256
 
 // TMReceiver is the TM Windowed Receiver: the receiver the SCWF directors
@@ -30,8 +26,7 @@ const tmShellCap = 256
 // window-timeout deadlines, which the director polls so a timed window is
 // produced even before an event from the next window arrives to close it.
 //
-// Concurrency (the PR 6 lock-free recipe, extended from PNCWF edges to
-// SCWF ingestion): Put/PutBatch never block on a receiver lock.
+// Put/PutBatch never block on a receiver lock.
 //
 //   - Passthrough ports (the default, and the hot path) have no shared
 //     window state at all: each event is wrapped into a single-event window
@@ -39,31 +34,20 @@ const tmShellCap = 256
 //     scheduler. The consuming worker returns the shell — and, when the
 //     pinning protocol permits, the event — through Recycle once the firing
 //     that consumed it has been broadcast.
-//   - Windowed ports put producers on a bounded lock-free ring (SPSC when
-//     the workflow graph proves a single upstream writer port, MPMC
-//     otherwise) with the sticky overflow protocol of director.RingReceiver:
-//     a producer that finds the ring full flips ofActive and appends to the
-//     mutex-guarded overflow list, and keeps doing so until a drainer
-//     swaps the list out and clears the flag, so each producer's stream
-//     stays FIFO. The window operator itself is consumer-owned: whoever
-//     wins the draining CAS (the pushing worker, or the coordinator for
-//     timed windows) feeds the backlog through the operator and enqueues
-//     produced windows, then clears the flag and re-checks the backlog —
-//     a producer whose push raced the drain either wins the next CAS or
-//     is covered by the drainer's re-check, so no event strands.
-//
-// Monitor-visible operator state (backlog, earliest deadline) is published
-// through atomics; Depth and NextDeadline never touch the operator.
+//   - Windowed ports push into a window.Inbox (lock-free ring, sticky
+//     overflow, consumer-owned window operator — see there) and then elect
+//     its consumer: whoever wins the draining CAS (the pushing worker, or
+//     the coordinator for timed windows) feeds the backlog through the
+//     operator and enqueues the produced windows, then clears the flag and
+//     re-checks the backlog — a producer whose push raced the drain either
+//     wins the next CAS or is covered by the drainer's re-check, so no
+//     event strands.
 type TMReceiver struct {
 	port  *model.Port
 	owner model.Actor
-	// op is the drainer-owned window operator (only the holder of the
-	// draining flag touches it; nil shared access by construction).
-	op *window.Operator
 	// passthrough marks default single-event window semantics.
 	passthrough bool
 	clk         clock.Clock
-	stats       *stats.Registry
 	// entry is the owning actor's statistics shard, resolved once at
 	// construction so hot-path arrivals skip the registry lookup.
 	entry *stats.Entry
@@ -85,25 +69,13 @@ type TMReceiver struct {
 	pbusy  atomic.Bool
 	pitems []ReadyItem
 
-	// q is the windowed ingestion ring (nil on passthrough ports).
-	q ring.Queue[*event.Event]
-	// ofMu guards overflow; ofActive is the producers' routing flag.
-	ofMu     sync.Mutex
-	ofActive atomic.Bool
-	overflow []*event.Event
-
-	// draining is the consumer-election flag: its holder owns op, pend,
-	// pendHead and ditems.
+	// in is the windowed ingestion core; passthrough ports leave it zero.
+	in window.Inbox
+	// draining is the consumer-election flag: its holder is in's consumer
+	// and owns the two scratch buffers.
 	draining atomic.Bool
-	pend     []*event.Event // swapped-out overflow being served
-	pendHead int
-	ditems   []ReadyItem // drainer's reusable enqueue scratch
-
-	// Published state, read by quiescence detection and metrics scrapes.
-	arrivals    atomic.Int64 // events made visible by producers
-	taken       atomic.Int64 // events a drainer pulled out of the queues
-	opPending   atomic.Int64 // events buffered inside the operator
-	pubDeadline atomic.Int64 // earliest op deadline, unixnano (0 = none)
+	dwins    []*window.Window
+	ditems   []ReadyItem
 }
 
 // NewTMReceiver builds a receiver for port applying the port's window spec.
@@ -114,30 +86,20 @@ func NewTMReceiver(port *model.Port, clk clock.Clock, st *stats.Registry, enqueu
 	r := &TMReceiver{
 		port:        port,
 		owner:       port.Owner(),
-		op:          window.New(port.Spec()),
 		passthrough: port.Spec().IsPassthrough(),
 		clk:         clk,
-		stats:       st,
 		enqueue:     enqueue,
 	}
 	if r.passthrough {
 		r.shells = ring.NewMPMC[*window.Window](tmShellCap)
 	} else {
-		r.q = ring.NewMPMC[*event.Event](tmRingCap)
+		r.in.Init(port.Spec(), true, 0)
 	}
 	if st != nil && port.Owner() != nil {
 		r.entry = st.Entry(port.Owner().Name())
 	}
 	return r
 }
-
-// Port returns the input port the receiver serves.
-func (r *TMReceiver) Port() *model.Port { return r.port }
-
-// Operator exposes the underlying window operator (tests, diagnostics).
-// During a parallel run it is owned by the draining worker — never touch
-// it while traffic flows.
-func (r *TMReceiver) Operator() *window.Operator { return r.op }
 
 // SetExpiredHandler wires the expired-items queue to a consumer. Call
 // before traffic flows.
@@ -157,16 +119,14 @@ func (r *TMReceiver) SetPool(p *event.Pool) { r.pool = p }
 // (one thread) and parallel ports fed by exactly one upstream actor (its
 // firing flag serializes producers, and EndFire→TryFire hands the ring
 // cursors over with release/acquire ordering). Call before traffic flows.
-//
-//confvet:single-writer
 func (r *TMReceiver) MarkSingleWriter() {
-	if r.q != nil {
-		r.q = ring.NewSPSC[*event.Event](tmRingCap)
+	if !r.passthrough {
+		r.in.Init(r.port.Spec(), false, 0)
 	}
 }
 
 // Put implements model.Receiver: passthrough events are wrapped and handed
-// to the scheduler directly; windowed events take a wait-free ring push
+// to the scheduler directly; windowed events take a wait-free inbox push
 // and then a drain attempt (the CAS winner runs the operator).
 //
 //confvet:hotpath
@@ -177,11 +137,10 @@ func (r *TMReceiver) Put(ev *event.Event) {
 		r.entry.RecordArrival(1, now)
 	}
 	if r.passthrough {
-		r.enqueue(NewItemAt(r.owner, r.port, r.wrap(ev), now))
+		r.enqueue(NewItemAt(r.owner, r.port, window.Wrap(r.shell(), ev), now))
 		return
 	}
-	r.push(ev)
-	r.arrivals.Add(1)
+	r.in.Push(ev)
 	r.drain(now)
 }
 
@@ -202,10 +161,7 @@ func (r *TMReceiver) PutBatch(evs []*event.Event) {
 		r.putBatchPass(evs, now)
 		return
 	}
-	for _, ev := range evs {
-		r.push(ev)
-	}
-	r.arrivals.Add(int64(len(evs)))
+	r.in.PushBatch(evs)
 	r.drain(now)
 }
 
@@ -219,7 +175,7 @@ func (r *TMReceiver) putBatchPass(evs []*event.Event, now time.Time) {
 	if r.enqueueBatch != nil && r.pbusy.CompareAndSwap(false, true) {
 		items := r.pitems[:0]
 		for _, ev := range evs {
-			items = append(items, NewItemAt(r.owner, r.port, r.wrap(ev), now)) //confvet:ignore append into retained scratch, amortized
+			items = append(items, NewItemAt(r.owner, r.port, window.Wrap(r.shell(), ev), now)) //confvet:ignore append into retained scratch, amortized
 		}
 		r.enqueueBatch(items)
 		r.pitems = items[:0]
@@ -227,75 +183,30 @@ func (r *TMReceiver) putBatchPass(evs []*event.Event, now time.Time) {
 		return
 	}
 	for _, ev := range evs {
-		r.enqueue(NewItemAt(r.owner, r.port, r.wrap(ev), now))
+		r.enqueue(NewItemAt(r.owner, r.port, window.Wrap(r.shell(), ev), now))
 	}
 }
 
-// push delivers one windowed event: lock-free ring push with the sticky
-// overflow escape hatch.
-//
-//confvet:hotpath
-//confvet:noalloc
-func (r *TMReceiver) push(ev *event.Event) {
-	if r.ofActive.Load() || !r.q.TryPush(ev) {
-		r.putSlow(ev)
-	}
-}
-
-// putSlow spills one event to the overflow list. Setting ofActive under the
-// lock keeps the flag and the list coherent: a producer that observed the
-// flag keeps appending here (preserving its own FIFO order) until a drainer
-// swaps the list out and clears the flag.
-func (r *TMReceiver) putSlow(ev *event.Event) {
-	r.ofMu.Lock()
-	r.ofActive.Store(true)
-	r.overflow = append(r.overflow, ev)
-	r.ofMu.Unlock()
+// shell pops the passthrough shell free-list; nil when it is empty
+// (warm-up, or shells retained past Recycle).
+func (r *TMReceiver) shell() *window.Window {
+	w, _ := r.shells.TryPop()
+	return w
 }
 
 // drain elects a consumer for the windowed backlog. The clear-then-recheck
-// loop is the no-lost-event argument: a producer that loses the CAS has
-// already published its arrival (arrivals.Add precedes the failed CAS,
-// which precedes the holder's Store(false), which precedes the holder's
-// hasRaw re-check in this loop), so the holder always re-observes it.
+// loop is the no-lost-event argument: a producer counts its push before it
+// gets here (see window.Inbox), so when it loses the CAS its count precedes
+// the failed CAS, which precedes the holder's Store(false), which precedes
+// the holder's HasRaw re-check — the holder always re-observes it, and the
+// counted event is already poppable.
 //
 //confvet:hotpath
 func (r *TMReceiver) drain(now time.Time) {
-	for {
-		if !r.hasRaw() {
-			return
-		}
-		if !r.draining.CompareAndSwap(false, true) {
-			return
-		}
-		exp := r.drainLocked(now)
-		r.draining.Store(false)
-		// Expired events are handed over outside the draining section: the
-		// consumer is typically another receiver, and drain sections must
-		// never nest on delivery (self-routing re-enters harmlessly — the
-		// CAS fails and the outer loop of this drainer re-checks).
-		r.deliverExpired(exp)
+	for r.in.HasRaw() && r.draining.CompareAndSwap(false, true) {
+		ws, exp := r.in.Ingest(now, math.MaxInt, r.dwins[:0])
+		r.handOff(ws, exp, now)
 	}
-}
-
-// drainLocked feeds the raw backlog through the window operator and hands
-// produced windows to the scheduler. Runs with the draining flag held.
-func (r *TMReceiver) drainLocked(now time.Time) []*event.Event {
-	items := r.ditems[:0]
-	for {
-		ev, ok := r.nextEvent()
-		if !ok {
-			break
-		}
-		for _, w := range r.op.Put(ev, now) {
-			items = append(items, NewItemAt(r.owner, r.port, w, now))
-		}
-	}
-	exp := r.takeExpired()
-	r.sendItems(items)
-	r.ditems = items[:0]
-	r.publishOp()
-	return exp
 }
 
 // OnTime forces out windows whose formation timeout passed and returns how
@@ -303,114 +214,43 @@ func (r *TMReceiver) drainLocked(now time.Time) []*event.Event {
 // active drainer republishes the deadline, so the caller's next poll
 // retries.
 func (r *TMReceiver) OnTime(now time.Time) int {
-	if r.passthrough {
+	if r.passthrough || !r.draining.CompareAndSwap(false, true) {
 		return 0
 	}
-	if !r.draining.CompareAndSwap(false, true) {
-		return 0
-	}
-	ws := r.op.OnTime(now)
+	ws, exp := r.in.Force(now, r.dwins[:0])
+	n := len(ws)
+	r.handOff(ws, exp, now)
+	// Serve any raw push that lost its CAS to this OnTime section.
+	r.drain(now)
+	return n
+}
+
+// handOff ends a draining section: the produced windows go to the scheduler
+// (one batch call when the policy supports it), and only then does the flag
+// clear — so a cleared flag implies everything the section produced is
+// visible at the scheduler, next to the deadline the inbox republished.
+// Expired events are handed over after the flag clears: their consumer is
+// typically another receiver, and drain sections must never nest on
+// delivery (self-routing re-enters harmlessly — the CAS fails and this
+// drainer's caller re-checks).
+func (r *TMReceiver) handOff(ws []*window.Window, exp []*event.Event, now time.Time) {
 	items := r.ditems[:0]
 	for _, w := range ws {
 		items = append(items, NewItemAt(r.owner, r.port, w, now))
 	}
-	exp := r.takeExpired()
-	r.sendItems(items)
-	r.ditems = items[:0]
-	r.publishOp()
-	r.draining.Store(false)
-	r.deliverExpired(exp)
-	// Serve any raw push that lost its CAS to this OnTime section.
-	r.drain(now)
-	return len(ws)
-}
-
-// nextEvent pops the oldest raw event: swapped-out overflow first (older
-// than anything now in the ring, per the overflow protocol), then the ring,
-// then a fresh overflow swap. Draining flag held.
-//
-//confvet:hotpath
-//confvet:noalloc
-//confvet:returns-poolable
-func (r *TMReceiver) nextEvent() (*event.Event, bool) {
-	if r.pendHead < len(r.pend) {
-		ev := r.pend[r.pendHead]
-		r.pend[r.pendHead] = nil
-		r.pendHead++
-		r.taken.Add(1)
-		return ev, true
-	}
-	if ev, ok := r.q.TryPop(); ok {
-		r.taken.Add(1)
-		return ev, true
-	}
-	if r.ofActive.Load() {
-		return r.takeOverflow()
-	}
-	return nil, false
-}
-
-// takeOverflow swaps the overflow list out (the ring is dry, so everything
-// in it is older than any future push) and serves its first event. The
-// previous pend backing array becomes the next overflow, so the two
-// buffers ping-pong without allocation at steady state.
-//
-//confvet:returns-poolable
-func (r *TMReceiver) takeOverflow() (*event.Event, bool) {
-	r.ofMu.Lock()
-	r.pend, r.overflow = r.overflow, r.pend[:0]
-	r.ofActive.Store(false)
-	r.ofMu.Unlock()
-	r.pendHead = 0
-	if len(r.pend) == 0 {
-		return nil, false
-	}
-	ev := r.pend[0]
-	r.pend[0] = nil
-	r.pendHead = 1
-	r.taken.Add(1)
-	return ev, true
-}
-
-// sendItems hands a drain's produced windows to the scheduler: one batch
-// call when the policy supports it, item-wise otherwise.
-func (r *TMReceiver) sendItems(items []ReadyItem) {
-	if len(items) == 0 {
-		return
-	}
-	if r.enqueueBatch != nil {
+	if r.enqueueBatch != nil && len(items) > 0 {
 		r.enqueueBatch(items)
-		return
+	} else {
+		for _, it := range items {
+			r.enqueue(it)
+		}
 	}
-	for _, it := range items {
-		r.enqueue(it)
+	clear(ws)
+	r.dwins, r.ditems = ws[:0], items[:0]
+	r.draining.Store(false)
+	if r.expireTo != nil && len(exp) > 0 {
+		r.expireTo(exp)
 	}
-}
-
-// wrap turns one passthrough event into a single-event window from the
-// shell free-list. The event is not pinned: it travels exactly one edge
-// inside the window and the consuming director recycles both at Recycle
-// once the firing that consumed it has been broadcast. Ownership of ev
-// moves into the shell, so from the caller's perspective wrap consumes it.
-//
-//confvet:hotpath
-//confvet:noalloc
-//confvet:recycles ev
-func (r *TMReceiver) wrap(ev *event.Event) *window.Window {
-	w, ok := r.shells.TryPop()
-	if !ok {
-		w = newPassShell()
-	}
-	w.Events[0] = ev
-	w.Time = ev.Time
-	w.Wave = ev.Wave
-	return w
-}
-
-// newPassShell is wrap's refill path (free-list empty: warm-up, or shells
-// retained past Recycle).
-func newPassShell() *window.Window {
-	return &window.Window{Events: make([]*event.Event, 1)}
 }
 
 // Recycle returns a consumed passthrough window to the shell free-list and
@@ -445,74 +285,13 @@ func (r *TMReceiver) Recycle(w *window.Window) {
 // scheduler's own HasWork (see ParallelDirector.drained). Passthrough
 // ports enqueue synchronously inside Put, so they are never pending.
 func (r *TMReceiver) Pending() bool {
-	if r.passthrough {
-		return false
-	}
-	return r.hasRaw() || r.draining.Load()
+	return r.in.HasRaw() || r.draining.Load()
 }
 
 // Depth implements model.DepthReporter: raw backlog plus the events
 // currently buffered in the receiver's open windows.
-func (r *TMReceiver) Depth() int {
-	if r.passthrough {
-		return 0
-	}
-	n := r.arrivals.Load() - r.taken.Load()
-	if n < 0 {
-		n = 0
-	}
-	return int(n + r.opPending.Load())
-}
+func (r *TMReceiver) Depth() int { return r.in.Depth() }
 
 // NextDeadline reports the earliest pending window-timeout deadline, as
 // last published by a drainer.
-func (r *TMReceiver) NextDeadline() (time.Time, bool) {
-	if r.passthrough {
-		return time.Time{}, false
-	}
-	ns := r.pubDeadline.Load()
-	if ns == 0 {
-		return time.Time{}, false
-	}
-	return time.Unix(0, ns), true
-}
-
-// hasRaw reports whether published raw events remain undrained.
-//
-//confvet:noalloc
-func (r *TMReceiver) hasRaw() bool {
-	return r.arrivals.Load() > r.taken.Load()
-}
-
-// publishOp refreshes the monitor-visible operator state (the drainer owns
-// the operator; everyone else reads these atomics). Runs with the draining
-// flag held, before the flag clears, so a cleared flag implies a fresh
-// deadline publication.
-func (r *TMReceiver) publishOp() {
-	r.opPending.Store(int64(r.op.Pending()))
-	if dl, ok := r.op.NextDeadline(); ok {
-		r.pubDeadline.Store(dl.UnixNano())
-	} else {
-		r.pubDeadline.Store(0)
-	}
-}
-
-// takeExpired drains the operator's expired-items queue (draining flag
-// held) and returns what must be delivered (nil when nothing consumes
-// expired items — they are dropped to keep memory bounded).
-func (r *TMReceiver) takeExpired() []*event.Event {
-	exp := r.op.DrainExpired()
-	if r.expireTo == nil || len(exp) == 0 {
-		return nil
-	}
-	return exp
-}
-
-// deliverExpired hands expired events to the expired-items consumer,
-// outside the draining section: the consumer is typically another
-// receiver, and drain sections never nest on delivery.
-func (r *TMReceiver) deliverExpired(exp []*event.Event) {
-	if len(exp) > 0 {
-		r.expireTo(exp)
-	}
-}
+func (r *TMReceiver) NextDeadline() (time.Time, bool) { return r.in.NextDeadline() }

@@ -1,0 +1,273 @@
+package window
+
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/event"
+	"repro/internal/ring"
+)
+
+// InboxCap is the default capacity of an inbox's lock-free ring; beyond it
+// producers spill to the overflow list. 1024 events absorbs ~16 firing
+// batches of backlog before any mutex is touched.
+const InboxCap = 1024
+
+// Inbox is the ingestion core shared by every receiver that sits on a
+// workflow edge: the paper's Windowed Receiver without the notification.
+// Producers deliver through a bounded lock-free ring and never park; one
+// consumer at a time pops raw events or feeds them through the window
+// operator it owns. What differs between receivers — waking a parked actor
+// thread (director.RingReceiver) or electing a drainer and enqueueing at
+// the scheduler (stafilos.TMReceiver) — is the hand-off built on top, and
+// it is the hand-off that guarantees the single consumer.
+//
+// Overflow protocol: cyclic workflows would deadlock if an upstream firing
+// could block on a full downstream ring while that ring's consumer waits
+// on the cycle. A producer that finds the ring full sets ofActive and
+// appends to the mutex-guarded overflow list; the flag is sticky, so it
+// keeps overflowing until the consumer has drained the ring dry, swapped
+// the list out and cleared the flag. The consumer serves the swapped-out
+// list (pend) before touching the ring again, so each producer's stream
+// stays FIFO: its ring-era events precede its overflow-era events, and it
+// returns to the ring only after its overflow backlog has been taken.
+//
+// Counting protocol: a producer counts an event in arrivals only after the
+// push made it visible, and notifies its consumer only after counting. So
+// HasRaw never promises an event a pop cannot find yet (no consumer spins
+// on a descheduled producer), and a consumer that reads HasRaw false after
+// arming its wait is covered by the notification that follows the count.
+// A consumer may pop an event before it is counted; taken then runs ahead
+// of arrivals until the producer catches up, which reads as "no backlog".
+//
+// Operator state the consumer owns is published through atomics after
+// every Ingest and Force; Depth and NextDeadline never touch the operator.
+// The zero Inbox is an empty one that nobody can push to.
+type Inbox struct {
+	q ring.Queue[*event.Event]
+
+	// ofMu guards overflow; ofActive is the producers' routing flag.
+	ofMu     sync.Mutex
+	ofActive atomic.Bool
+	overflow []*event.Event
+
+	// Consumer-owned: the window operator (nil for passthrough specs) and
+	// the swapped-out overflow being served.
+	op       *Operator
+	pend     []*event.Event
+	pendHead int
+
+	arrivals    atomic.Int64 // events producers made visible
+	taken       atomic.Int64 // events the consumer popped
+	opPending   atomic.Int64 // events buffered inside the operator
+	pubDeadline atomic.Int64 // earliest operator deadline, unixnano (0 = none)
+}
+
+// Init readies the inbox for spec with a ring of the given capacity (<= 0
+// selects InboxCap). Pass multiProducer false only when the workflow graph
+// proves a single upstream writer at a time; then Push and PushBatch are
+// two entry points of one goroutine and never race on the SPSC ring.
+// Calling Init again before any traffic replaces ring and operator.
+//
+//confvet:single-writer
+func (in *Inbox) Init(spec Spec, multiProducer bool, capacity int) {
+	if capacity <= 0 {
+		capacity = InboxCap
+	}
+	if multiProducer {
+		in.q = ring.NewMPMC[*event.Event](capacity)
+	} else {
+		in.q = ring.NewSPSC[*event.Event](capacity)
+	}
+	in.op = nil
+	if !spec.IsPassthrough() {
+		in.op = New(spec)
+	}
+}
+
+// Push delivers one event: lock-free ring push with the overflow escape
+// hatch, then the arrival count.
+//
+//confvet:hotpath
+//confvet:noalloc
+func (in *Inbox) Push(ev *event.Event) {
+	if in.ofActive.Load() || !in.q.TryPush(ev) {
+		in.putSlow(ev)
+	}
+	in.arrivals.Add(1)
+}
+
+// PushBatch delivers a whole emission set under one arrival update.
+//
+//confvet:hotpath
+//confvet:noalloc
+func (in *Inbox) PushBatch(evs []*event.Event) {
+	for _, ev := range evs {
+		if in.ofActive.Load() || !in.q.TryPush(ev) {
+			in.putSlow(ev)
+		}
+	}
+	in.arrivals.Add(int64(len(evs)))
+}
+
+// putSlow spills one event to the overflow list. Setting ofActive under the
+// lock keeps the flag and the list coherent: a producer that observed the
+// flag keeps appending here (preserving its own FIFO order) until the
+// consumer swaps the list out and clears the flag.
+func (in *Inbox) putSlow(ev *event.Event) {
+	in.ofMu.Lock()
+	in.ofActive.Store(true)
+	in.overflow = append(in.overflow, ev)
+	in.ofMu.Unlock()
+}
+
+// Pop returns the oldest raw event: swapped-out overflow first (older than
+// anything now in the ring, per the overflow protocol), then the ring, then
+// a fresh overflow swap. Consumer only.
+//
+//confvet:hotpath
+//confvet:noalloc
+//confvet:returns-poolable
+func (in *Inbox) Pop() (*event.Event, bool) {
+	if in.pendHead < len(in.pend) {
+		ev := in.pend[in.pendHead]
+		in.pend[in.pendHead] = nil
+		in.pendHead++
+		in.taken.Add(1)
+		return ev, true
+	}
+	if ev, ok := in.q.TryPop(); ok {
+		in.taken.Add(1)
+		return ev, true
+	}
+	if !in.ofActive.Load() {
+		return nil, false
+	}
+	// The dry pop above may predate the flag: a producer can refill the
+	// whole ring and then overflow between the two reads, and those ring
+	// events are older than its overflow. The flag is sticky, so every ring
+	// push of an overflowing producer is visible by now; only when this
+	// second pop is dry too does the overflow hold the oldest event.
+	if ev, ok := in.q.TryPop(); ok {
+		in.taken.Add(1)
+		return ev, true
+	}
+	return in.takeOverflow()
+}
+
+// takeOverflow swaps the overflow list out and serves its first event. The
+// previous pend backing array becomes the next overflow, so the two
+// buffers ping-pong without allocation at steady state.
+//
+//confvet:returns-poolable
+func (in *Inbox) takeOverflow() (*event.Event, bool) {
+	in.ofMu.Lock()
+	in.pend, in.overflow = in.overflow, in.pend[:0]
+	in.ofActive.Store(false)
+	in.ofMu.Unlock()
+	in.pendHead = 0
+	if len(in.pend) == 0 {
+		return nil, false
+	}
+	ev := in.pend[0]
+	in.pend[0] = nil
+	in.pendHead = 1
+	in.taken.Add(1)
+	return ev, true
+}
+
+// Ingest feeds up to max raw events through the window operator at clock
+// time now. It returns buf with the produced windows appended, and the
+// events that expired (they can no longer contribute to any window; the
+// caller routes or drops them). Consumer only, windowed specs only.
+//
+//confvet:hotpath
+func (in *Inbox) Ingest(now time.Time, max int, buf []*Window) ([]*Window, []*event.Event) {
+	n := 0
+	for ; n < max; n++ {
+		ev, ok := in.Pop()
+		if !ok {
+			break
+		}
+		buf = append(buf, in.op.Put(ev, now)...)
+	}
+	if n == 0 {
+		return buf, nil
+	}
+	in.publishOp()
+	return buf, in.op.DrainExpired()
+}
+
+// Force appends to buf the windows whose formation timeout has passed at
+// clock time now, and returns the events that expired with them. Consumer
+// only, windowed specs only.
+func (in *Inbox) Force(now time.Time, buf []*Window) ([]*Window, []*event.Event) {
+	buf = append(buf, in.op.OnTime(now)...)
+	in.publishOp()
+	return buf, in.op.DrainExpired()
+}
+
+// publishOp refreshes the monitor-visible operator state. It runs before
+// the consumer gives up its turn, so whoever observes the turn released
+// also observes a fresh deadline.
+func (in *Inbox) publishOp() {
+	in.opPending.Store(int64(in.op.Pending()))
+	if dl, ok := in.op.NextDeadline(); ok {
+		in.pubDeadline.Store(dl.UnixNano())
+	} else {
+		in.pubDeadline.Store(0)
+	}
+}
+
+// HasRaw reports whether counted raw events remain unpopped (ring, overflow
+// or swapped-out pend).
+//
+//confvet:noalloc
+func (in *Inbox) HasRaw() bool {
+	return in.arrivals.Load() > in.taken.Load()
+}
+
+// Depth reports the raw backlog plus the events buffered in open windows.
+func (in *Inbox) Depth() int {
+	n := in.arrivals.Load() - in.taken.Load()
+	if n < 0 {
+		n = 0
+	}
+	return int(n + in.opPending.Load())
+}
+
+// NextDeadline reports the earliest pending window-formation deadline, as
+// last published by the consumer.
+func (in *Inbox) NextDeadline() (time.Time, bool) {
+	ns := in.pubDeadline.Load()
+	if ns == 0 {
+		return time.Time{}, false
+	}
+	return time.Unix(0, ns), true
+}
+
+// Wrap turns one passthrough event into a single-event window, reusing
+// shell when the receiver's free-list supplied one. The event is not
+// pinned: it travels exactly one edge inside the window, and ownership
+// moves into the shell — the consuming director hands the shell back
+// through the receiver's Recycle, which is the event's actual release
+// point, so from the caller's perspective Wrap consumes it.
+//
+//confvet:hotpath
+//confvet:noalloc
+//confvet:recycles ev
+func Wrap(shell *Window, ev *event.Event) *Window {
+	if shell == nil {
+		shell = newShell()
+	}
+	shell.Events[0] = ev
+	shell.Time = ev.Time
+	shell.Wave = ev.Wave
+	return shell
+}
+
+// newShell is Wrap's refill path.
+func newShell() *Window {
+	return &Window{Events: make([]*event.Event, 1)}
+}
