@@ -178,7 +178,9 @@ func NewShedder(name string, maxLag time.Duration) *actors.Shedder {
 	return actors.NewShedder(name, maxLag)
 }
 
-// NewSink consumes windows with a callback.
+// NewSink consumes windows with a callback. The window and its events are
+// borrowed for the callback only: every director recycles them once the
+// firing is over, so copy out the tokens you keep.
 func NewSink(name string, spec WindowSpec, fn func(ctx *FireContext, w *Window) error) *actors.Sink {
 	return actors.NewSink(name, spec, fn)
 }

@@ -85,7 +85,10 @@ func NewAggregate(name string, spec window.Spec, agg func(w *window.Window) valu
 	})
 }
 
-// Sink consumes windows with a callback and produces nothing.
+// Sink consumes windows with a callback and produces nothing. The window
+// and its events are borrowed for the callback only: every director recycles
+// them once the firing is over, so a callback keeps tokens (as Collect
+// does), never the window or an event.
 type Sink struct {
 	model.Base
 	in *model.Port

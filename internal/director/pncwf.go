@@ -82,7 +82,7 @@ func (d *PNCWF) Setup(wf *model.Workflow) error {
 		return err
 	}
 	d.wf = wf
-	d.pool = event.NewPool(eventPoolCap)
+	d.pool = event.NewPool(event.DirectorPoolCap)
 	d.receivers = make(map[*model.Port]*RingReceiver)
 	for _, p := range wf.InputPorts() {
 		// One upstream output port means one upstream actor goroutine, which
@@ -314,11 +314,6 @@ func (d *PNCWF) napUntilNextEvent(ctx context.Context, a model.Actor) {
 	case <-time.After(nap):
 	}
 }
-
-// eventPoolCap bounds the shared event free-list: enough to cover every
-// edge's ring plus in-flight firing batches of a mid-sized workflow without
-// pinning an unbounded amount of memory.
-const eventPoolCap = 8192
 
 // fireBatchMax bounds how many ready windows an actor thread consumes per
 // wake-up before broadcasting the combined emissions downstream. It trades

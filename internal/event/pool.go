@@ -26,6 +26,11 @@ type Pool struct {
 	q *ring.MPMC[*Event]
 }
 
+// DirectorPoolCap is the capacity of the one pool every director keeps:
+// enough to cover every edge's ring plus the in-flight firing batches of a
+// mid-sized workflow without pinning an unbounded amount of memory.
+const DirectorPoolCap = 8192
+
 // NewPool returns a pool holding at most capacity idle events.
 func NewPool(capacity int) *Pool {
 	return &Pool{q: ring.NewMPMC[*Event](capacity)}

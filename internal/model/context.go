@@ -58,6 +58,9 @@ type FireContext struct {
 	puller func(*Port) (*window.Window, bool)
 	// emissions are the tokens produced so far in this firing.
 	emissions []Emission
+	// inWave is true while a firing with a triggering event is open: what
+	// Put stamps then takes the trigger's time, and needs no clock read.
+	inWave bool
 	// stopped is set by StopWorkflow.
 	stopped bool
 }
@@ -88,6 +91,7 @@ func (c *FireContext) Reset() {
 	c.tk.Reset()
 	c.clearStaged()
 	c.emissions = c.emissions[:0]
+	c.inWave = false
 	c.puller = nil
 	c.stopped = false
 }
@@ -122,6 +126,7 @@ func (c *FireContext) Stage(p *Port, w *window.Window) {
 func (c *FireContext) BeginFiring(trigger *event.Event) {
 	c.tk.BeginFiring(trigger)
 	c.emissions = c.emissions[:0]
+	c.inWave = trigger != nil
 }
 
 // EndFiring finalizes wave-tags and returns the emissions of the firing.
@@ -133,6 +138,7 @@ func (c *FireContext) BeginFiring(trigger *event.Event) {
 //confvet:hotpath
 func (c *FireContext) EndFiring() []Emission {
 	c.tk.FinalizeFiring()
+	c.inWave = false
 	out := c.emissions
 	c.clearStaged()
 	return out
@@ -196,9 +202,16 @@ func (c *FireContext) Record(p *Port) value.Record {
 }
 
 // Put produces a token on output port p. The token is stamped into the
-// current wave; delivery happens when the director ends the firing.
+// current wave; delivery happens when the director ends the firing. The
+// clock is read only when there is no wave to inherit a time from (a source
+// firing, a timeout firing, a put outside any firing): Timekeeper.Stamp
+// ignores the fallback otherwise.
 func (c *FireContext) Put(p *Port, tok value.Value) {
-	ev := c.tk.Stamp(tok, c.clk.Now())
+	var fallback time.Time
+	if !c.inWave {
+		fallback = c.clk.Now()
+	}
+	ev := c.tk.Stamp(tok, fallback)
 	c.emissions = append(c.emissions, Emission{Port: p, Ev: ev})
 }
 

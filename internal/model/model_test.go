@@ -278,6 +278,68 @@ func TestFireContextStageAndPut(t *testing.T) {
 	}
 }
 
+// countedClock counts how often the engine clock is read.
+type countedClock struct {
+	*clock.Virtual
+	reads int
+}
+
+func (c *countedClock) Now() time.Time {
+	c.reads++
+	return c.Virtual.Now()
+}
+
+// TestFireContextPutSkipsClockInsideWave: a token put while a firing has a
+// triggering event takes the trigger's time, so Put must not read the clock
+// for a fallback nobody uses — and must still read it, and stamp what it
+// read, whenever there is no wave to inherit from.
+func TestFireContextPutSkipsClockInsideWave(t *testing.T) {
+	clk := &countedClock{Virtual: clock.NewVirtual()}
+	clk.AdvanceTo(time.Unix(50, 0).UTC())
+	tk := event.NewTimekeeper()
+	ctx := NewFireContext(clk, tk)
+	a := newPassActor("A")
+	trigger := tk.External(value.Int(3), time.Unix(9, 0).UTC())
+
+	ctx.BeginFiring(trigger)
+	ctx.Put(a.out, value.Int(30))
+	ctx.Put(a.out, value.Int(31))
+	ems := ctx.EndFiring()
+	if clk.reads != 0 {
+		t.Errorf("Put inside a wave read the clock %d times, want 0", clk.reads)
+	}
+	if len(ems) != 2 || !ems[0].Ev.Time.Equal(trigger.Time) || !ems[1].Ev.Time.Equal(trigger.Time) {
+		t.Fatalf("emissions %v did not inherit the trigger's time", ems)
+	}
+
+	// No triggering event (a source or timeout firing): the clock is the
+	// only time there is.
+	ctx.BeginFiring(nil)
+	ctx.Put(a.out, value.Int(32))
+	ems = ctx.EndFiring()
+	if clk.reads != 1 {
+		t.Errorf("Put with no trigger read the clock %d times, want 1", clk.reads)
+	}
+	if len(ems) != 1 || !ems[0].Ev.Time.Equal(clk.Virtual.Now()) || ems[0].Ev.Wave.Root != clk.Virtual.Now().UnixNano() {
+		t.Fatalf("no-trigger emission %v not stamped with the clock's time", ems)
+	}
+
+	// Outside any firing, after a firing that had a trigger: the wave is
+	// closed, so the put starts one of its own at the clock's time.
+	ctx.BeginFiring(trigger)
+	ctx.EndFiring()
+	ctx.Put(a.out, value.Int(33))
+	if clk.reads != 2 {
+		t.Errorf("Put outside a firing read the clock %d times in all, want 2", clk.reads)
+	}
+	ctx.BeginFiring(trigger)
+	ctx.Reset()
+	ctx.Put(a.out, value.Int(34))
+	if clk.reads != 3 {
+		t.Errorf("Put after Reset read the clock %d times in all, want 3", clk.reads)
+	}
+}
+
 func TestFireContextPuller(t *testing.T) {
 	clk := clock.NewVirtual()
 	tk := event.NewTimekeeper()

@@ -54,14 +54,37 @@ type Director struct {
 	scwf
 	cost CostModel
 
-	ctxs    map[string]*model.FireContext
+	// held is the clock the receivers read; see heldClock.
+	held    heldClock
 	scratch []*event.Event
 	stopped bool
 }
 
+// heldClock is the one-thread driver's clock as its receivers see it. A
+// firing has two instants, before and after; while the driver delivers the
+// firing's emissions it holds the second, and every receiver the delivery
+// reaches stamps its arrivals with that instead of reading the clock again.
+// Outside a delivery (an expired-items route out of a timeout poll, a put
+// made by hand) it is the engine clock.
+type heldClock struct {
+	clock.Clock
+	// at is the held instant; zero outside a delivery.
+	at time.Time
+}
+
+// Now implements clock.Clock.
+func (h *heldClock) Now() time.Time {
+	if !h.at.IsZero() {
+		return h.at
+	}
+	return h.Clock.Now()
+}
+
 // NewDirector builds an SCWF director running the given scheduling policy.
 func NewDirector(sched Scheduler, opts Options) *Director {
-	return &Director{scwf: newSCWF(sched, opts), cost: opts.Cost}
+	d := &Director{scwf: newSCWF(sched, opts), cost: opts.Cost}
+	d.held.Clock = d.clk
+	return d
 }
 
 // Name implements model.Director.
@@ -76,23 +99,22 @@ func (d *Director) Scheduler() Scheduler { return d.sched }
 // Receiver returns the TM Windowed Receiver installed on port, or nil.
 func (d *Director) Receiver(port *model.Port) *TMReceiver { return d.recvByPort[port] }
 
-// Setup implements model.Director. The sequential director pools no events
-// (they are left to the GC) and runs everything on one goroutine.
+// Setup implements model.Director. Everything runs on one goroutine: each
+// actor keeps one firing context whose timekeeper stamps from the
+// director-wide event pool, and consumed passthrough windows release their
+// events back into it.
 func (d *Director) Setup(wf *model.Workflow) error {
-	if err := d.install(wf, nil, true); err != nil {
-		return err
-	}
-	d.ctxs = make(map[string]*model.FireContext, len(wf.Actors()))
-	for _, a := range wf.Actors() {
-		d.ctxs[a.Name()] = model.NewFireContext(d.clk, event.NewTimekeeper())
-	}
-	return nil
+	return d.install(wf, &d.held, true)
 }
 
 // Step runs one director iteration: it signals the scheduler, repeatedly
 // asks for the next actor until the scheduler returns nil, then lets the
 // scheduler perform its end-of-iteration maintenance (re-quantification,
 // queue swaps, period rollover). It reports whether any work was done.
+//
+// Window-formation timeouts are polled once on entry and once after every
+// pick, at the instant the pick left behind — so a timed window closes even
+// when every pick is a source with nothing available.
 func (d *Director) Step() (bool, error) {
 	if d.wf == nil {
 		return false, model.ErrNotSetup
@@ -110,20 +132,20 @@ func (d *Director) Step() (bool, error) {
 			// record the policy's pick decision here.
 			d.obs.PickObserved(e.Actor.Name())
 		}
-		w, err := d.fireEntry(e)
+		w, now, err := d.fireEntry(e)
 		if err != nil {
 			return worked, err
 		}
 		worked = worked || w
-		PollTimeouts(d.receivers, d.clk.Now())
+		PollTimeouts(d.receivers, now)
 	}
 	d.sched.IterationEnd()
 	return worked, nil
 }
 
-// fireEntry performs one actor invocation and reports whether real work
-// happened.
-func (d *Director) fireEntry(e *Entry) (bool, error) {
+// fireEntry performs one actor invocation. It reports whether real work
+// happened and the engine time the pick ended at.
+func (d *Director) fireEntry(e *Entry) (bool, time.Time, error) {
 	if e.Source {
 		return d.fireSource(e)
 	}
@@ -132,90 +154,84 @@ func (d *Director) fireEntry(e *Entry) (bool, error) {
 		// Policies only activate actors with events (Table 2); an empty
 		// queue here means the state is stale — let the policy fix it.
 		d.sched.ActorFired(e, 0, 0)
-		return false, nil
+		return false, d.clk.Now(), nil
 	}
-	a := e.Actor
-	ctx := d.ctxs[a.Name()]
 	var trigger *event.Event
-	if n := item.Win.Len(); n > 0 {
-		trigger = item.Win.Events[n-1]
+	consumed := item.Win.Len()
+	if consumed > 0 {
+		trigger = item.Win.Events[consumed-1]
 	}
-	ctx.BeginFiring(trigger)
-	ctx.Stage(item.Port, item.Win)
-
-	fireAt := d.clk.Now()
-	start := time.Now()
-	if err := model.Invoke(a, ctx); err != nil {
-		return true, err
+	e.ctx.BeginFiring(trigger)
+	e.ctx.Stage(item.Port, item.Win)
+	_, after, err := d.fire(e, d.clk.Now(), trigger, consumed, item.Enqueued)
+	if err == nil {
+		recycle(&item)
 	}
-	emissions := ctx.EndFiring()
-	cost := d.charge(a, start, item.Win.Len(), len(emissions))
-	d.deliver(emissions)
-	d.entries[a.Name()].RecordFiring(cost, item.Win.Len(), len(emissions), d.clk.Now())
-	d.sched.ActorFired(e, cost, len(emissions))
-	if d.obs != nil {
-		var qw time.Duration
-		if !item.Enqueued.IsZero() {
-			qw = fireAt.Sub(item.Enqueued)
-		}
-		d.obs.FiringObserved(a.Name(), trigger, emissions, fireAt, cost, qw, item.Win.Len())
-	}
-	d.recycle(&item)
-	if ctx.Stopped() {
-		d.stopped = true
-	}
-	return true, nil
+	return true, after, err
 }
 
 // fireSource invokes a source actor if it has available input.
-func (d *Director) fireSource(e *Entry) (bool, error) {
-	a := e.Actor
+func (d *Director) fireSource(e *Entry) (bool, time.Time, error) {
 	now := d.clk.Now()
-	if ps, ok := a.(PushSource); ok && !ps.Available(now) {
+	if ps, ok := e.Actor.(PushSource); ok && !ps.Available(now) {
 		// Nothing to ingest: count the invocation for scheduling purposes
 		// but do no work.
 		d.sched.ActorFired(e, 0, 0)
-		return false, nil
+		return false, now, nil
 	}
-	ctx := d.ctxs[a.Name()]
-	ctx.BeginFiring(nil)
-	fireAt := now
-	start := time.Now()
+	e.ctx.BeginFiring(nil)
+	produced, after, err := d.fire(e, now, nil, 0, time.Time{})
+	return produced > 0, after, err
+}
+
+// fire runs the firing begun on e's context at engine time fireAt and
+// reports how many events it produced and the engine time after it. A
+// firing has two instants, before and after the actor runs, and reads the
+// clock for nothing else: the second is the one its arrivals downstream,
+// its statistics record and the caller's timeout poll all see.
+func (d *Director) fire(e *Entry, fireAt time.Time, trigger *event.Event, consumed int, enqueued time.Time) (int, time.Time, error) {
+	a, ctx := e.Actor, e.ctx
 	if err := model.Invoke(a, ctx); err != nil {
-		return true, err
+		return 0, fireAt, err
 	}
 	emissions := ctx.EndFiring()
-	cost := d.charge(a, start, 0, len(emissions))
-	d.deliver(emissions)
-	d.entries[a.Name()].RecordFiring(cost, 0, len(emissions), d.clk.Now())
+	cost, after := d.charge(a, fireAt, consumed, len(emissions))
+	d.deliver(emissions, after)
+	e.stats.RecordFiring(cost, consumed, len(emissions), after)
 	d.sched.ActorFired(e, cost, len(emissions))
 	if d.obs != nil {
-		d.obs.FiringObserved(a.Name(), nil, emissions, fireAt, cost, 0, 0)
+		var qw time.Duration
+		if !enqueued.IsZero() {
+			qw = fireAt.Sub(enqueued)
+		}
+		d.obs.FiringObserved(a.Name(), trigger, emissions, fireAt, cost, qw, consumed)
 	}
 	if ctx.Stopped() {
 		d.stopped = true
 	}
-	return len(emissions) > 0, nil
+	return len(emissions), after, nil
 }
 
-// charge computes the firing cost (modelled or measured) and advances the
-// clock in virtual mode.
-func (d *Director) charge(a model.Actor, start time.Time, consumed, produced int) time.Duration {
-	var cost time.Duration
-	if d.cost != nil {
-		cost = d.cost.FiringCost(a, consumed, produced)
-		d.clk.Advance(cost + d.cost.DispatchOverhead())
-	} else {
-		cost = time.Since(start)
+// charge ends a firing that began at fireAt: it returns the firing's cost
+// and the engine time after it. In virtual time the cost is modelled and
+// advances the clock; in real time it is what the clock measured.
+func (d *Director) charge(a model.Actor, fireAt time.Time, consumed, produced int) (time.Duration, time.Time) {
+	if d.cost == nil {
+		after := d.clk.Now()
+		return after.Sub(fireAt), after
 	}
-	return cost
+	cost := d.cost.FiringCost(a, consumed, produced)
+	d.clk.Advance(cost + d.cost.DispatchOverhead())
+	return cost, d.clk.Now()
 }
 
 // deliver broadcasts the finalized emissions through the batched transport;
 // TM receivers evaluate window semantics and enqueue produced windows at
-// the scheduler, one batch per destination port.
-func (d *Director) deliver(emissions []model.Emission) {
+// the scheduler, one batch per destination port, all stamped at.
+func (d *Director) deliver(emissions []model.Emission, at time.Time) {
+	d.held.at = at
 	d.scratch = model.BroadcastEmissions(emissions, d.scratch)
+	d.held.at = time.Time{}
 }
 
 // Run implements model.Director: it steps until the workflow stops, all

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/stats"
 	"repro/internal/window"
 )
 
@@ -81,6 +82,13 @@ type Entry struct {
 	// FiredThisIteration marks sources that already ran in the current
 	// director iteration / period.
 	FiredThisIteration bool
+
+	// stats is the actor's statistics shard and ctx, on the one-thread driver
+	// only, its firing context (the parallel driver pools contexts per
+	// worker instead). Both are resolved once by the director's set-up, so a
+	// firing looks nothing up by name.
+	stats *stats.Entry
+	ctx   *model.FireContext
 
 	// firing marks the actor as currently executing on a worker. It is the
 	// model invariant "an actor never fires concurrently with itself": a

@@ -50,11 +50,6 @@ type ParallelDirector struct {
 	claimer ConcurrentScheduler
 	workers int
 
-	// evpool is the director-wide CWEvent free-list behind the zero-alloc
-	// firing loop: pooled timekeepers draw from it and consumed passthrough
-	// windows release into it at the recycle point.
-	evpool *event.Pool
-
 	// pool recycles per-firing contexts (timekeeper, staged windows,
 	// emission buffer) and broadcast scratch buffers across workers.
 	pool sync.Pool
@@ -89,11 +84,6 @@ type ParallelDirector struct {
 	lastMaint uint64
 }
 
-// scwfEventPoolCap bounds the director-wide event free-list; sized like the
-// PNCWF pool so a full pipeline of in-flight batches recycles without
-// falling back to allocation.
-const scwfEventPoolCap = 8192
-
 // fireClaimBatch caps how many ready items one claim fires back-to-back.
 // Firing a backlog as one batch pays the claim, policy report, broadcast
 // and wake once per batch instead of once per window — the dominant cost
@@ -124,7 +114,6 @@ func NewParallelDirector(sched Scheduler, opts Options, workers int) *ParallelDi
 		claimer: cs,
 		workers: workers,
 		wake:    ring.NewWaiter(),
-		evpool:  event.NewPool(scwfEventPoolCap),
 	}
 	d.pool.New = func() any {
 		tk := event.NewTimekeeper()
@@ -156,7 +145,7 @@ func (d *ParallelDirector) Executing() int {
 // Setup implements model.Director. Consumed passthrough windows release
 // their events into the director-wide pool.
 func (d *ParallelDirector) Setup(wf *model.Workflow) error {
-	return d.install(wf, d.evpool, false)
+	return d.install(wf, d.clk, false)
 }
 
 // Run implements model.Director: it starts the worker pool and a timer
@@ -303,7 +292,8 @@ func (d *ParallelDirector) fire(e *Entry) {
 // fireSource runs one source firing (sources have no ready queue to batch).
 func (d *ParallelDirector) fireSource(e *Entry) {
 	a := e.Actor
-	if ps, ok := a.(PushSource); ok && !ps.Available(d.clk.Now()) {
+	fireAt := d.clk.Now()
+	if ps, ok := a.(PushSource); ok && !ps.Available(fireAt) {
 		// Nothing to ingest yet: count the slot so the policy moves on,
 		// but do no work. No wakeup — the coordinator's tick retries
 		// paced sources.
@@ -318,11 +308,12 @@ func (d *ParallelDirector) fireSource(e *Entry) {
 	d.executing.Inc()
 
 	ctx.BeginFiring(nil)
-	fireAt := d.clk.Now()
-	start := time.Now()
 	fireErr := model.Invoke(a, ctx)
 	emissions := ctx.EndFiring()
-	cost := time.Since(start)
+	// The clock is always clock.Real here, so the second reading both ends
+	// the cost measurement and dates the statistics record.
+	after := d.clk.Now()
+	cost := after.Sub(fireAt)
 
 	// Record the trace span before delivery: a downstream worker can fire
 	// the moment the broadcast lands, and a wave's spans must stay in actor-
@@ -334,7 +325,7 @@ func (d *ParallelDirector) fireSource(e *Entry) {
 	// claim is released, the policy may schedule downstream work, which must
 	// already see these events.
 	fs.scratch = model.BroadcastEmissions(emissions, fs.scratch)
-	d.entries[a.Name()].RecordFiring(cost, 0, len(emissions), d.clk.Now())
+	e.stats.RecordFiring(cost, 0, len(emissions), after)
 	d.sched.ActorFired(e, cost, len(emissions))
 	if ctx.Stopped() {
 		d.stopped.Store(true)
@@ -355,7 +346,9 @@ func (d *ParallelDirector) fireSource(e *Entry) {
 // (EndFiring's slice is only valid until the next BeginFiring), then
 // broadcasts the whole batch, records the firings, reports once to the
 // policy, and recycles the consumed passthrough windows — the recycle
-// point of the event ownership protocol, after broadcast and trace.
+// point of the event ownership protocol, after broadcast and trace. The
+// batch reads the clock once before and once after, like a sequential
+// firing.
 func (d *ParallelDirector) fireBatch(e *Entry, fs *firingScratch) {
 	a := e.Actor
 	ctx := fs.ctx
@@ -363,48 +356,49 @@ func (d *ParallelDirector) fireBatch(e *Entry, fs *firingScratch) {
 	d.executing.Inc()
 
 	fireAt := d.clk.Now()
-	start := time.Now()
 	var fireErr error
+	var trigger *event.Event
 	fs.emitted = fs.emitted[:0]
 	fired, consumed := 0, 0
 	for i := range fs.items {
 		item := &fs.items[i]
-		var trigger *event.Event
+		trigger = nil
 		if n := item.Win.Len(); n > 0 {
 			trigger = item.Win.Events[n-1]
 		}
 		ctx.BeginFiring(trigger)
 		ctx.Stage(item.Port, item.Win)
-		emStart := len(fs.emitted)
 		fireErr = model.Invoke(a, ctx)
 		fs.emitted = append(fs.emitted, ctx.EndFiring()...)
 		fired++
 		consumed += item.Win.Len()
-		if d.obs != nil {
-			// Batch size is 1 under observability, so the batch cost is the
-			// firing cost and span order is preserved.
-			var qw time.Duration
-			if !item.Enqueued.IsZero() {
-				qw = fireAt.Sub(item.Enqueued)
-			}
-			d.obs.FiringObserved(a.Name(), trigger, fs.emitted[emStart:], fireAt, time.Since(start), qw, item.Win.Len())
-		}
 		if fireErr != nil || ctx.Stopped() {
 			break
 		}
 	}
-	cost := time.Since(start)
+	after := d.clk.Now()
+	cost := after.Sub(fireAt)
 
+	if d.obs != nil {
+		// fire caps an observed batch at one item, so the batch is the
+		// firing: its cost and queue wait are exact, and the span is
+		// recorded before delivery, keeping a wave's spans in path order.
+		var qw time.Duration
+		if enq := fs.items[0].Enqueued; !enq.IsZero() {
+			qw = fireAt.Sub(enq)
+		}
+		d.obs.FiringObserved(a.Name(), trigger, fs.emitted, fireAt, cost, qw, consumed)
+	}
 	// Deliver before reporting: once ActorFired runs and the claim is
 	// released, the policy may schedule downstream work, which must already
 	// see these events.
 	fs.scratch = model.BroadcastEmissions(fs.emitted, fs.scratch)
-	d.entries[a.Name()].RecordFirings(fired, cost, consumed, len(fs.emitted), d.clk.Now())
+	e.stats.RecordFirings(fired, cost, consumed, len(fs.emitted), after)
 	d.sched.ActorFired(e, cost, len(fs.emitted))
 	// Consumed inputs are dead past this point: trace recorded, emissions
 	// broadcast, windows never handed to anything that may retain them.
 	for i := range fs.items {
-		d.recycle(&fs.items[i])
+		recycle(&fs.items[i])
 		fs.items[i] = ReadyItem{}
 	}
 	if ctx.Stopped() {

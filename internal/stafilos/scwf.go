@@ -22,12 +22,17 @@ type scwf struct {
 	stats *stats.Registry
 	obs   *obs.Engine
 	env   *Env
+	// evpool is the director-wide CWEvent free-list behind the zero-alloc
+	// firing loop: the drivers' timekeepers stamp from it and consumed
+	// passthrough windows release into it at the recycle point.
+	evpool *event.Pool
 
 	// Set by install, read-only afterwards. wf doubles as the set-up mark.
+	// recvByPort serves Receiver (introspection, RouteExpired); no firing
+	// reads it.
 	wf         *model.Workflow
 	receivers  []*TMReceiver
 	recvByPort map[*model.Port]*TMReceiver
-	entries    map[string]*stats.Entry
 }
 
 func newSCWF(sched Scheduler, opts Options) scwf {
@@ -38,10 +43,11 @@ func newSCWF(sched Scheduler, opts Options) scwf {
 		opts.Stats = stats.NewRegistry()
 	}
 	return scwf{
-		sched: sched,
-		clk:   opts.Clock,
-		stats: opts.Stats,
-		obs:   opts.Obs,
+		sched:  sched,
+		clk:    opts.Clock,
+		stats:  opts.Stats,
+		obs:    opts.Obs,
+		evpool: event.NewPool(event.DirectorPoolCap),
 		env: &Env{
 			Clock:          opts.Clock,
 			Stats:          opts.Stats,
@@ -68,13 +74,16 @@ func (c *scwf) ActorQueueDepths(yield func(actor string, ready, buffered int)) {
 
 // install validates the workflow, initializes the scheduler, installs a TM
 // Windowed Receiver on every input port, registers the actors (classifying
-// sources) with the scheduler, and initializes every actor. pool, when
-// non-nil, receives recyclable events back at the receivers' Recycle.
-// oneThread says every delivery happens on the caller's thread, which makes
-// every windowed ring single-writer; otherwise only ports with one upstream
-// writer port are (its actor's firing flag serializes producers, and
-// EndFire→TryFire orders their ring accesses across workers).
-func (c *scwf) install(wf *model.Workflow, pool *event.Pool, oneThread bool) error {
+// sources) with the scheduler, and initializes every actor. recvClk is the
+// clock the receivers stamp arrivals with: the engine clock, or the
+// one-thread driver's view of it that holds a firing's second instant
+// (heldClock). oneThread says every delivery happens on the caller's thread,
+// which makes every windowed ring single-writer and lets each actor keep one
+// firing context (stamping from the event pool) for the whole run; otherwise
+// only ports with one upstream writer port are single-writer (its actor's
+// firing flag serializes producers, and EndFire→TryFire orders their ring
+// accesses across workers) and the driver brings its own contexts.
+func (c *scwf) install(wf *model.Workflow, recvClk clock.Clock, oneThread bool) error {
 	if c.wf != nil {
 		return fmt.Errorf("stafilos: director already set up")
 	}
@@ -88,8 +97,8 @@ func (c *scwf) install(wf *model.Workflow, pool *event.Pool, oneThread bool) err
 	be, hasBatch := c.sched.(BatchEnqueuer)
 	c.recvByPort = make(map[*model.Port]*TMReceiver, len(wf.InputPorts()))
 	for _, p := range wf.InputPorts() {
-		r := NewTMReceiver(p, c.clk, c.stats, c.sched.Enqueue)
-		r.SetPool(pool)
+		r := NewTMReceiver(p, recvClk, c.stats, c.sched.Enqueue)
+		r.SetPool(c.evpool)
 		if hasBatch {
 			r.SetBatchEnqueue(be.EnqueueBatch)
 		}
@@ -104,10 +113,14 @@ func (c *scwf) install(wf *model.Workflow, pool *event.Pool, oneThread bool) err
 	for _, s := range wf.Sources() {
 		sources[s.Name()] = true
 	}
-	c.entries = make(map[string]*stats.Entry, len(wf.Actors()))
 	for _, a := range wf.Actors() {
-		c.sched.Register(a, sources[a.Name()])
-		c.entries[a.Name()] = c.stats.Entry(a.Name())
+		e := c.sched.Register(a, sources[a.Name()])
+		e.stats = c.stats.Entry(a.Name())
+		if oneThread {
+			tk := event.NewTimekeeper()
+			tk.SetPool(c.evpool)
+			e.ctx = model.NewFireContext(c.clk, tk)
+		}
 		if err := a.Initialize(model.NewFireContext(c.clk, event.NewTimekeeper())); err != nil {
 			return fmt.Errorf("stafilos: initialize %s: %w", a.Name(), err)
 		}
@@ -118,9 +131,10 @@ func (c *scwf) install(wf *model.Workflow, pool *event.Pool, oneThread bool) err
 
 // recycle is the recycle point of the event ownership protocol: the firing
 // that consumed item has been broadcast and traced, nothing downstream
-// retains its window, so the window goes back to the receiver that built it.
-func (c *scwf) recycle(item *ReadyItem) {
-	if r, ok := c.recvByPort[item.Port]; ok {
+// retains its window, so the window goes back to the receiver that built it
+// — the one installed on the item's port.
+func recycle(item *ReadyItem) {
+	if r, ok := item.Port.Receiver().(*TMReceiver); ok {
 		r.Recycle(item.Win)
 	}
 }
