@@ -184,7 +184,7 @@ func addObsFlags(fs *flag.FlagSet) obsFlags {
 		addr:    fs.String("obs", "", "serve introspection (metrics/pprof/trace) on this address"),
 		sample:  fs.Float64("sample", 1.0, "fraction of waves traced (with -obs)"),
 		node:    fs.String("node", "", "stable node name for cluster identity (with -obs)"),
-		prov:    fs.Bool("prov", false, "enable the persistent provenance store on /provenance (with -obs)"),
+		prov:    fs.Bool("prov", false, "serve lineage queries on /provenance and raise lineage retention (with -obs)"),
 		peers:   fs.String("peers", "", "comma-separated peer obs addresses for /cluster and cluster-scoped /provenance"),
 		latency: fs.Bool("latency", false, "enable critical-path latency attribution on /latency (with -obs; implies -prov)"),
 	}

@@ -334,14 +334,14 @@ func NewStats() *Stats { return stats.NewRegistry() }
 // Observability.
 type (
 	// Observer is the engine introspection hub: a telemetry registry
-	// exported at /metrics, a wave-tag trace ring behind /trace/, and the
-	// director hooks feeding both. A nil *Observer is valid everywhere and
-	// means observability off.
+	// exported at /metrics, the lineage store of sampled waves behind
+	// /trace/, and the director hooks feeding both. A nil *Observer is valid
+	// everywhere and means observability off.
 	Observer = obs.Engine
-	// ObserveOptions configures tracing (ring capacity, per-wave sampling
-	// rate), cluster identity, the persistent provenance store, and
-	// critical-path latency attribution (Latency: true serves per-wave
-	// waterfalls and the fleet-wide profile at /latency).
+	// ObserveOptions configures tracing (per-wave sampling rate), cluster
+	// identity, provenance retention, and critical-path latency attribution
+	// (Latency: true serves per-wave waterfalls and the fleet-wide profile
+	// at /latency).
 	ObserveOptions = obs.Options
 )
 

@@ -149,7 +149,7 @@ func TestCrossBridgeTraceRoundTrip(t *testing.T) {
 		`confluence_bridge_seq_gaps_total{actor="bridgeIn"} 0`,
 		`confluence_bridge_watermark{actor="bridgeIn"}`,
 		`confluence_bridge_ring_capacity{actor="bridgeIn"}`,
-		"confluence_prov_hops_total",
+		"confluence_prov_recorded_total",
 		"confluence_prov_resident_hops",
 		"confluence_trace_forced_waves_total 50",
 	} {

@@ -61,9 +61,10 @@ func (e *Engine) ResetLatency() {
 // resolveWave is the profile's lineage resolver: the wave's local hops
 // plus any measured bridge transit.
 func (e *Engine) resolveWave(root int64, rootSeq uint64) ([]prov.Hop, []prov.Transit) {
-	hops := e.prov.Wave(root, rootSeq)
+	store := e.Prov()
+	hops := store.Wave(root, rootSeq)
 	var transits []prov.Transit
-	if t, ok := e.prov.TransitOf(root, rootSeq); ok {
+	if t, ok := store.TransitOf(root, rootSeq); ok {
 		transits = append(transits, t)
 	}
 	return hops, transits
@@ -74,7 +75,7 @@ func (e *Engine) resolveWave(root int64, rootSeq uint64) ([]prov.Hop, []prov.Tra
 func (e *Engine) transitObserved(bridge string, root int64, rootSeq uint64, origin uint64,
 	sentNs, recvNs int64, transit time.Duration) {
 	e.bridgeTransit.With(bridge).Observe(transit)
-	e.prov.NoteTransit(root, rootSeq, origin, sentNs, recvNs, transit)
+	e.Prov().NoteTransit(root, rootSeq, origin, sentNs, recvNs, transit)
 }
 
 // transitSinkTarget is what a bridge receiver exposes for transit timing
@@ -153,9 +154,9 @@ func parseRenderedTag(s string, root int64, rootSeq uint64) (event.WaveTag, bool
 }
 
 // hopFromView rebuilds a prov.Hop from its /provenance JSON view — the
-// inverse of hopView, used to stitch peer lineages into a cluster
+// inverse of HopViews, used to stitch peer lineages into a cluster
 // waterfall.
-func hopFromView(v hopView, root int64, rootSeq uint64) prov.Hop {
+func hopFromView(v HopView, root int64, rootSeq uint64) prov.Hop {
 	h := prov.Hop{
 		Node:      v.Node,
 		Actor:     v.Actor,

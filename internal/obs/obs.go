@@ -18,30 +18,22 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// TraceCapacity is the total span capacity of the wave-tag trace ring
-	// (0 = DefaultTraceCapacity).
-	TraceCapacity int
 	// SampleRate is the fraction of waves traced (0 disables tracing, 1
 	// traces every wave). Sampling is deterministic per wave, so a traced
 	// wave's lineage is always complete.
 	SampleRate float64
 
 	// NodeName gives this process a stable cluster identity (see
-	// dist.NodeIDOf): hops recorded into the provenance store carry it, and
+	// dist.NodeIDOf): hops recorded into the lineage store carry it, and
 	// traced events leaving over a bridge are stamped with its derived ID
 	// so downstream nodes can attribute the upstream lineage. Empty means
 	// "no identity" (single-process runs).
 	NodeName string
-	// Provenance enables the persistent lineage store (/provenance):
-	// sampled waves' hops are retained in bounded segments beyond the trace
-	// ring's lifetime. Off by default — the trace ring alone then behaves
-	// exactly as before.
+	// Provenance raises the lineage store's retention from the newest 4096
+	// hops to the prov package defaults (~65K) and serves the lineage
+	// queries (/provenance). Off by default: /trace/ alone then answers,
+	// for recent waves.
 	Provenance bool
-	// ProvSegmentHops, ProvMaxSegments and ProvMaxAge shape the provenance
-	// store's retention (zero = prov package defaults).
-	ProvSegmentHops int
-	ProvMaxSegments int
-	ProvMaxAge      time.Duration
 	// Peers lists the other nodes' obs HTTP base addresses
 	// ("host:port" or "http://host:port") for the /cluster rollup and
 	// cluster-scoped /provenance queries.
@@ -139,9 +131,10 @@ type watch struct {
 	dir   model.Director
 }
 
-// Engine is the introspection hub: it owns the telemetry registry and the
-// wave-tag tracer, receives the directors' hot-path hooks, and walks watched
-// workflows at scrape time for queue-depth, shed and per-actor series.
+// Engine is the introspection hub: it owns the telemetry registry, the
+// wave-tag tracer and the lineage store, receives the directors' hot-path
+// hooks, and walks watched workflows at scrape time for queue-depth, shed
+// and per-actor series.
 //
 // Every hook is safe on a nil *Engine and returns immediately, so call sites
 // guard with a single pointer check and pay nothing when observability is
@@ -150,12 +143,13 @@ type Engine struct {
 	reg    *Registry
 	tracer *Tracer
 
-	// prov is the persistent lineage store (nil when Options.Provenance is
-	// off; every method is nil-safe). nodeName/nodeID are this process's
-	// cluster identity.
-	prov     *prov.Store
-	nodeName string
-	nodeID   uint64
+	// store holds every sampled firing, once; provenance says whether it
+	// is sized for, and served as, /provenance. nodeName/nodeID are this
+	// process's cluster identity.
+	store      *prov.Store
+	provenance bool
+	nodeName   string
+	nodeID     uint64
 
 	// latency is the critical-path attribution profile (nil when
 	// Options.Latency is off).
@@ -169,7 +163,6 @@ type Engine struct {
 	picked        *CounterVec // by actor
 	parked        *CounterVec // by actor
 	spans         *Counter
-	provHops      *Counter
 	forcedWaves   *Counter
 	bridgeTransit *HistogramVec // by receiving bridge actor
 
@@ -195,22 +188,21 @@ type Engine struct {
 }
 
 // NewEngine builds an introspection engine. The zero Options value means
-// tracing off, default ring capacity.
+// tracing off.
 func NewEngine(opts Options) *Engine {
 	e := &Engine{
-		reg:      NewRegistry(),
-		tracer:   NewTracer(opts.TraceCapacity, opts.SampleRate),
-		nodeName: opts.NodeName,
-		nodeID:   uint64(dist.NodeIDOf(opts.NodeName)),
-		peers:    append([]string(nil), opts.Peers...),
+		reg:        NewRegistry(),
+		tracer:     NewTracer(opts.SampleRate),
+		provenance: opts.Provenance || opts.Latency,
+		nodeName:   opts.NodeName,
+		nodeID:     uint64(dist.NodeIDOf(opts.NodeName)),
+		peers:      append([]string(nil), opts.Peers...),
 	}
-	if opts.Provenance || opts.Latency {
-		e.prov = prov.NewStore(prov.Options{
-			SegmentHops: opts.ProvSegmentHops,
-			MaxSegments: opts.ProvMaxSegments,
-			MaxAge:      opts.ProvMaxAge,
-		})
+	retention := traceRetention(traceCapacity)
+	if e.provenance {
+		retention = prov.Options{}
 	}
+	e.store = prov.NewStore(retention)
 	if opts.Latency {
 		e.latency = latency.NewProfile(e.resolveWave)
 	}
@@ -220,7 +212,7 @@ func NewEngine(opts Options) *Engine {
 	e.queueWait = r.NewHistogram("confluence_queue_wait_seconds",
 		"Time ready windows waited in scheduler queues before firing.")
 	e.claimSeconds = r.NewHistogram("confluence_sched_claim_seconds",
-		"Latency of ConcurrentScheduler.Claim calls.")
+		"Latency of Scheduler.Claim calls.")
 	e.claims = r.NewCounterVec("confluence_sched_claims_total",
 		"Claim outcomes: picked an entry or found the queue empty.", "result")
 	e.picked = r.NewCounterVec("confluence_sched_picked_total",
@@ -228,9 +220,7 @@ func NewEngine(opts Options) *Engine {
 	e.parked = r.NewCounterVec("confluence_sched_parked_total",
 		"Times the scheduler skipped an actor because a firing was in flight, by actor.", "actor")
 	e.spans = r.NewCounter("confluence_trace_spans_total",
-		"Trace spans recorded into the wave-tag ring.")
-	e.provHops = r.NewCounter("confluence_prov_hops_total",
-		"Lineage hops recorded into the provenance store.")
+		"Sampled firings recorded into the lineage store.")
 	e.forcedWaves = r.NewCounter("confluence_trace_forced_waves_total",
 		"Waves forced into the local tracer by upstream bridge trace context.")
 	e.bridgeTransit = r.NewHistogramVec("confluence_bridge_transit_seconds",
@@ -239,13 +229,22 @@ func NewEngine(opts Options) *Engine {
 	return e
 }
 
-// Prov returns the engine's provenance store (nil when disabled; the nil
-// store answers every query empty).
-func (e *Engine) Prov() *prov.Store {
+// Lineage returns the store every sampled firing is recorded into (nil on a
+// nil engine; the nil store answers every query empty).
+func (e *Engine) Lineage() *prov.Store {
 	if e == nil {
 		return nil
 	}
-	return e.prov
+	return e.store
+}
+
+// Prov returns the lineage store as the provenance surface sees it: nil
+// unless Options.Provenance asked for provenance retention.
+func (e *Engine) Prov() *prov.Store {
+	if e == nil || !e.provenance {
+		return nil
+	}
+	return e.store
 }
 
 // NodeName returns the process's cluster identity name ("" when unset).
@@ -293,7 +292,7 @@ func (e *Engine) traceSampled(root int64, rootSeq uint64) bool {
 func (e *Engine) traceForced(root int64, rootSeq uint64, origin uint64) {
 	e.tracer.Force(root, rootSeq)
 	if origin != 0 {
-		e.prov.NoteOrigin(root, rootSeq, origin)
+		e.Prov().NoteOrigin(root, rootSeq, origin)
 	}
 	e.forcedWaves.Inc()
 }
@@ -379,7 +378,7 @@ func (e *Engine) Watch(name string, wf *model.Workflow, st *stats.Registry, dir 
 			// Bridge transit timing rides the same structural wiring: the
 			// receiver reports each traced wave's skew-corrected wire time,
 			// attributed to the receiving bridge actor.
-			if t, ok := a.(transitSinkTarget); ok && e.prov != nil {
+			if t, ok := a.(transitSinkTarget); ok && e.provenance {
 				bridge := a.Name()
 				t.SetTransitSink(func(root int64, rootSeq uint64, origin uint64,
 					sentNs, recvNs int64, transit time.Duration) {
@@ -434,11 +433,11 @@ func (e *Engine) FiringObserved(actor string, trigger *event.Event, emissions []
 		return
 	}
 	if trigger != nil {
-		// Downstream firing: one span for the trigger's wave.
+		// Downstream firing: one hop for the trigger's wave.
 		if !e.tracer.Sampled(trigger.Wave) {
 			return
 		}
-		s := Span{
+		h := prov.Hop{
 			Actor:     actor,
 			Root:      trigger.Wave.Root,
 			RootSeq:   trigger.Wave.RootSeq,
@@ -450,14 +449,12 @@ func (e *Engine) FiringObserved(actor string, trigger *event.Event, emissions []
 			Produced:  len(emissions),
 		}
 		if len(emissions) > 0 {
-			s.Out = emissions[0].Ev.Wave
+			h.Out = emissions[0].Ev.Wave
 		}
-		e.tracer.Record(s)
-		e.spans.Inc()
-		e.recordHop(s)
+		e.record(h)
 		return
 	}
-	// Source firing: every emission starts a wave; record one span per
+	// Source firing: every emission starts a wave; record one hop per
 	// sampled wave (consecutive emissions of one wave collapse into it).
 	var lastRoot int64
 	var lastSeq uint64
@@ -471,7 +468,7 @@ func (e *Engine) FiringObserved(actor string, trigger *event.Event, emissions []
 		if !e.tracer.Sampled(w) {
 			continue
 		}
-		s := Span{
+		e.record(prov.Hop{
 			Actor:    actor,
 			Root:     w.Root,
 			RootSeq:  w.RootSeq,
@@ -479,42 +476,24 @@ func (e *Engine) FiringObserved(actor string, trigger *event.Event, emissions []
 			Start:    start,
 			Cost:     cost,
 			Produced: len(emissions),
-		}
-		e.tracer.Record(s)
-		e.spans.Inc()
-		e.recordHop(s)
+		})
 	}
 }
 
-// recordHop mirrors one recorded trace span into the persistent provenance
-// store (no-op when provenance is off).
-func (e *Engine) recordHop(s Span) {
-	if e.prov == nil {
-		return
-	}
-	e.prov.Record(prov.Hop{
-		Node:      e.nodeName,
-		Actor:     s.Actor,
-		Root:      s.Root,
-		RootSeq:   s.RootSeq,
-		In:        s.In,
-		Out:       s.Out,
-		Start:     s.Start,
-		QueueWait: s.QueueWait,
-		Cost:      s.Cost,
-		Consumed:  s.Consumed,
-		Produced:  s.Produced,
-	})
-	e.provHops.Inc()
+// record stores one sampled firing — the only write any lineage view reads.
+func (e *Engine) record(h prov.Hop) {
+	h.Node = e.nodeName
+	e.store.Record(h)
+	e.spans.Inc()
 	// A hop that emitted nothing ended its wave here (a sink, or a
 	// filter dropping the last event): queue it for waterfall analysis.
-	if e.latency != nil && s.Produced == 0 {
-		e.latency.NoteEndpoint(s.Root, s.RootSeq)
+	if e.latency != nil && h.Produced == 0 {
+		e.latency.NoteEndpoint(h.Root, h.RootSeq)
 	}
 }
 
-// ClaimObserved is the scheduler hook for one ConcurrentScheduler.Claim
-// call: the picked actor ("" when the queue was empty) and the call latency.
+// ClaimObserved is the scheduler hook for one Scheduler.Claim call: the
+// picked actor ("" when the queue was empty) and the call latency.
 func (e *Engine) ClaimObserved(actor string, latency time.Duration) {
 	if e == nil {
 		return
@@ -690,34 +669,25 @@ func (e *Engine) registerCollectors() {
 		"Frame sequence discontinuities per bridge.", typeCounter, "actor",
 		perBridge(func(b metrics.BridgeStats) float64 { return float64(b.SeqGaps) }))
 
+	provStat := func(f func(prov.Stats) int64) func(emit func(string, float64)) {
+		return func(emit func(string, float64)) {
+			if p := e.Prov(); p != nil {
+				emit("", float64(f(p.Stats())))
+			}
+		}
+	}
 	r.RegisterCollector("confluence_prov_resident_hops",
 		"Lineage hops currently resident in the provenance store.", typeGauge, "",
-		func(emit func(string, float64)) {
-			if e.prov != nil {
-				emit("", float64(e.prov.Stats().Resident))
-			}
-		})
+		provStat(func(st prov.Stats) int64 { return st.Resident }))
 	r.RegisterCollector("confluence_prov_evicted_hops_total",
 		"Lineage hops evicted from the provenance store by retention.", typeCounter, "",
-		func(emit func(string, float64)) {
-			if e.prov != nil {
-				emit("", float64(e.prov.Stats().EvictedHops))
-			}
-		})
+		provStat(func(st prov.Stats) int64 { return st.EvictedHops }))
 	r.RegisterCollector("confluence_prov_recorded_total",
 		"Lineage hops ever recorded into the provenance store.", typeCounter, "",
-		func(emit func(string, float64)) {
-			if e.prov != nil {
-				emit("", float64(e.prov.Stats().Recorded))
-			}
-		})
+		provStat(func(st prov.Stats) int64 { return st.Recorded }))
 	r.RegisterCollector("confluence_prov_segments",
 		"Segments currently resident in the provenance store.", typeGauge, "",
-		func(emit func(string, float64)) {
-			if e.prov != nil {
-				emit("", float64(e.prov.Stats().Segments))
-			}
-		})
+		provStat(func(st prov.Stats) int64 { return int64(st.Segments) }))
 
 	r.RegisterCollector("confluence_latency_endpoints_total",
 		"Wave endpoints queued for critical-path analysis.", typeCounter, "",

@@ -1,12 +1,11 @@
-// Package prov is the engine's queryable provenance layer: an append-only,
-// bounded lineage store that persists sampled wave lineages beyond the
-// wave-tag trace ring's lifetime. Where the obs.Tracer ring silently
-// overwrites old spans, the Store seals them into fixed-size segments with
-// explicit retention and eviction counters, so "which inputs produced this
-// toll alert?" (Cuevas-Vicenttín et al.'s provenance question) stays
-// answerable for as long as the configured retention allows — across the
-// run, and — together with the bridge trace propagation in internal/dist —
-// across process boundaries.
+// Package prov is the engine's lineage store: the one place a sampled
+// firing is recorded, and what /trace/, /provenance, latency attribution and
+// the QoS flight recorder all read. It is append-only and bounded: hops are
+// sealed into fixed-size segments with explicit retention and eviction
+// counters, so "which inputs produced this toll alert?" (Cuevas-Vicenttín et
+// al.'s provenance question) stays answerable for as long as the configured
+// retention allows — across the run, and — together with the bridge trace
+// propagation in internal/dist — across process boundaries.
 //
 // Recording is on the engine hot path (one Record per sampled firing) and
 // follows the PR 6 zero-alloc idioms: hops are fixed-size structs written
@@ -28,9 +27,9 @@ import (
 )
 
 const (
-	// provStripes is the number of lock stripes; all hops of one wave hash
-	// to the same stripe, so wave lookups scan exactly one stripe.
-	provStripes = 16
+	// Stripes is the number of lock stripes, a power of two; all hops of one
+	// wave hash to the same stripe, so wave lookups scan exactly one stripe.
+	Stripes = 16
 
 	// DefaultSegmentHops is the per-segment hop capacity when Options
 	// leaves it zero.
@@ -38,7 +37,7 @@ const (
 
 	// DefaultMaxSegments is the store-wide segment retention bound when
 	// Options leaves it zero: 64 segments × 1024 hops = 65536 resident
-	// hops, 16× the default trace ring.
+	// hops.
 	DefaultMaxSegments = 64
 
 	// originTableCap bounds the wave → origin-node table fed by bridge
@@ -59,9 +58,10 @@ type Options struct {
 	MaxAge time.Duration
 }
 
-// Hop is one recorded firing of a sampled wave: the provenance-store
-// counterpart of obs.Span, stamped with the recording node so lineages
-// stitched across processes stay attributable.
+// Hop is one recorded firing of a sampled wave: which actor fired, for which
+// wave, when, how long the consumed window waited and what the firing cost,
+// stamped with the recording node so lineages stitched across processes
+// stay attributable. A wave's hops in Seq order are its lineage.
 type Hop struct {
 	// Node is the recording node's name ("" when the engine runs without a
 	// cluster identity).
@@ -180,7 +180,7 @@ type Store struct {
 	evictedHops atomic.Int64
 	evictedSegs atomic.Int64
 
-	stripes [provStripes]stripe
+	stripes [Stripes]stripe
 
 	// origins maps waves to their bridge context — upstream node ID and,
 	// when measured, the corrected bridge transit (bounded FIFO; control
@@ -200,7 +200,7 @@ func NewStore(opts Options) *Store {
 	if maxSegs <= 0 {
 		maxSegs = DefaultMaxSegments
 	}
-	per := (maxSegs + provStripes - 1) / provStripes
+	per := (maxSegs + Stripes - 1) / Stripes
 	if per < 1 {
 		per = 1
 	}
@@ -212,12 +212,12 @@ func NewStore(opts Options) *Store {
 	}
 }
 
-// waveHash mixes a wave identity into a well-distributed 64-bit value
-// (splitmix64 finalizer), shared by stripe selection with obs.Tracer so
-// store and trace ring agree on locality.
+// WaveHash mixes a wave identity into a well-distributed 64-bit value
+// (splitmix64 finalizer). Stripe selection here and the sampling decision in
+// obs.Tracer share it.
 //
 //confvet:noalloc
-func waveHash(root int64, rootSeq uint64) uint64 {
+func WaveHash(root int64, rootSeq uint64) uint64 {
 	x := uint64(root) ^ (rootSeq * 0x9e3779b97f4a7c15)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -241,7 +241,7 @@ func (s *Store) Record(h Hop) {
 	}
 	h.Seq = s.seq.Add(1)
 	ns := h.Start.UnixNano()
-	st := &s.stripes[waveHash(h.Root, h.RootSeq)&(provStripes-1)]
+	st := &s.stripes[WaveHash(h.Root, h.RootSeq)&(Stripes-1)]
 	st.mu.Lock()
 	seg := st.active
 	if seg == nil || seg.n == len(seg.hops) {
@@ -404,7 +404,7 @@ func (s *Store) TransitOf(root int64, rootSeq uint64) (Transit, bool) {
 	}, true
 }
 
-// forEachStripeHop yields every resident hop of one stripe under its lock.
+// forEach yields every resident hop of one stripe under its lock.
 func (st *stripe) forEach(yield func(*Hop)) {
 	st.mu.Lock()
 	for _, seg := range st.sealed {
@@ -424,18 +424,32 @@ func (st *stripe) forEach(yield func(*Hop)) {
 // path from source to sink as executed on this node), or nil when the wave
 // was not sampled or has been evicted.
 func (s *Store) Wave(root int64, rootSeq uint64) []Hop {
+	return s.walk(root, rootSeq, func(*Hop) bool { return true })
+}
+
+// WavesByRoot returns the hops of every resident wave whose root timestamp
+// matches, grouped per wave in record order, groups ordered by RootSeq.
+// Rendered wave-tag strings do not carry the root sequence number, so a
+// lookup by tag can match several external events with equal timestamps.
+func (s *Store) WavesByRoot(root int64) [][]Hop {
 	if s == nil {
 		return nil
 	}
 	s.expire(time.Now())
-	st := &s.stripes[waveHash(root, rootSeq)&(provStripes-1)]
-	var out []Hop
-	st.forEach(func(h *Hop) {
-		if h.Root == root && h.RootSeq == rootSeq {
-			out = append(out, *h)
-		}
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	byWave := map[uint64][]Hop{}
+	for i := range s.stripes {
+		s.stripes[i].forEach(func(h *Hop) {
+			if h.Root == root {
+				byWave[h.RootSeq] = append(byWave[h.RootSeq], *h)
+			}
+		})
+	}
+	out := make([][]Hop, 0, len(byWave))
+	for _, hops := range byWave {
+		sort.Slice(hops, func(i, j int) bool { return hops[i].Seq < hops[j].Seq })
+		out = append(out, hops)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0].RootSeq < out[j][0].RootSeq })
 	return out
 }
 
@@ -471,7 +485,7 @@ func (s *Store) walk(root int64, rootSeq uint64, keep func(*Hop) bool) []Hop {
 		return nil
 	}
 	s.expire(time.Now())
-	st := &s.stripes[waveHash(root, rootSeq)&(provStripes-1)]
+	st := &s.stripes[WaveHash(root, rootSeq)&(Stripes-1)]
 	var out []Hop
 	st.forEach(func(h *Hop) {
 		if h.Root == root && h.RootSeq == rootSeq && keep(h) {
@@ -594,7 +608,7 @@ func (s *Store) Stats() Stats {
 		Recorded:        s.recorded.Load(),
 		EvictedHops:     s.evictedHops.Load(),
 		EvictedSegments: s.evictedSegs.Load(),
-		CapacityHops:    s.segmentHops * s.maxPerStripe * provStripes,
+		CapacityHops:    s.segmentHops * s.maxPerStripe * Stripes,
 	}
 	for i := range s.stripes {
 		sp := &s.stripes[i]

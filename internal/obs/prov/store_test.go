@@ -356,9 +356,9 @@ func TestStatsCapacityShape(t *testing.T) {
 		opts Options
 		want int
 	}{
-		{Options{}, DefaultSegmentHops * (DefaultMaxSegments / provStripes) * provStripes},
-		{Options{SegmentHops: 10, MaxSegments: 16}, 10 * 1 * provStripes},
-		{Options{SegmentHops: 10, MaxSegments: 17}, 10 * 2 * provStripes}, // ceil
+		{Options{}, DefaultSegmentHops * (DefaultMaxSegments / Stripes) * Stripes},
+		{Options{SegmentHops: 10, MaxSegments: 16}, 10 * 1 * Stripes},
+		{Options{SegmentHops: 10, MaxSegments: 17}, 10 * 2 * Stripes}, // ceil
 	} {
 		s := NewStore(tc.opts)
 		if got := s.Stats().CapacityHops; got != tc.want {
@@ -370,13 +370,13 @@ func TestStatsCapacityShape(t *testing.T) {
 func TestWaveHashSpreadsStripes(t *testing.T) {
 	seen := map[uint64]int{}
 	for i := 0; i < 1024; i++ {
-		seen[waveHash(int64(i), uint64(i%5))&(provStripes-1)]++
+		seen[WaveHash(int64(i), uint64(i%5))&(Stripes-1)]++
 	}
-	if len(seen) != provStripes {
-		t.Errorf("1024 waves landed on %d/%d stripes", len(seen), provStripes)
+	if len(seen) != Stripes {
+		t.Errorf("1024 waves landed on %d/%d stripes", len(seen), Stripes)
 	}
 	for stripe, n := range seen {
-		if n > 1024/provStripes*4 {
+		if n > 1024/Stripes*4 {
 			t.Errorf("stripe %d got %d of 1024 waves", stripe, n)
 		}
 	}

@@ -13,7 +13,8 @@ import (
 	"repro/internal/obs/prov"
 )
 
-// /provenance — the lineage query API over the persistent provenance store.
+// /provenance — the lineage query API over the lineage store at provenance
+// retention (Options.Provenance).
 //
 //	GET /provenance                         store stats + recent waves
 //	GET /provenance?wave=t<root>-<seq>      one wave's full hop lineage
@@ -28,8 +29,9 @@ import (
 // reports the upstream node it came from (origin) — the cross-process
 // stitch.
 
-// hopView is one lineage hop in /provenance JSON.
-type hopView struct {
+// HopView is one lineage hop in JSON — the one rendering /trace/,
+// /provenance and the QoS flight recorder share.
+type HopView struct {
 	Node             string  `json:"node,omitempty"`
 	Actor            string  `json:"actor"`
 	In               string  `json:"in,omitempty"`
@@ -54,7 +56,7 @@ type provWaveView struct {
 	// Origin names the upstream node the wave's events arrived from over a
 	// bridge, when known ("node-<hex>").
 	Origin string    `json:"origin,omitempty"`
-	Hops   []hopView `json:"hops"`
+	Hops   []HopView `json:"hops"`
 }
 
 // provRefView is one wave summary in /provenance index JSON.
@@ -65,10 +67,11 @@ type provRefView struct {
 	Last  string `json:"last,omitempty"`
 }
 
-func hopViews(hops []prov.Hop) []hopView {
-	out := make([]hopView, 0, len(hops))
+// HopViews renders hops in the order given.
+func HopViews(hops []prov.Hop) []HopView {
+	out := make([]HopView, 0, len(hops))
 	for _, h := range hops {
-		v := hopView{
+		v := HopView{
 			Node:             h.Node,
 			Actor:            h.Actor,
 			Start:            h.Start.Format(time.RFC3339Nano),
@@ -140,7 +143,7 @@ func parseWavePath(s string) ([]int, error) {
 }
 
 func (e *Engine) handleProvenance(w http.ResponseWriter, r *http.Request) {
-	store := e.prov
+	store := e.Prov()
 	q := r.URL.Query()
 
 	limit := 100
@@ -206,22 +209,21 @@ func (e *Engine) handleProvenanceWave(w http.ResponseWriter, r *http.Request, wa
 		return
 	}
 
+	store := e.Prov()
 	var hops []prov.Hop
 	switch walk := q.Get("walk"); walk {
 	case "", "wave":
-		hops = e.prov.Wave(root, rootSeq)
+		hops = store.Wave(root, rootSeq)
 	case "ancestors":
-		hops = e.prov.Ancestors(root, rootSeq, path)
+		hops = store.Ancestors(root, rootSeq, path)
 	case "descendants":
-		hops = e.prov.Descendants(root, rootSeq, path)
+		hops = store.Descendants(root, rootSeq, path)
 	default:
 		http.Error(w, "walk must be ancestors or descendants", http.StatusBadRequest)
 		return
 	}
-	views := hopViews(hops)
-
-	wave := provWaveView{ID: FormatWaveID(root, rootSeq), Hops: views}
-	if origin, ok := e.prov.Origin(root, rootSeq); ok {
+	wave := provWaveView{ID: FormatWaveID(root, rootSeq), Hops: HopViews(hops)}
+	if origin, ok := store.Origin(root, rootSeq); ok {
 		wave.Origin = dist.NodeID(origin).String()
 	}
 

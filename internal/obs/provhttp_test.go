@@ -1,8 +1,11 @@
 package obs_test
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,10 +14,13 @@ import (
 	"repro/internal/event"
 	"repro/internal/obs"
 	"repro/internal/obs/prov"
+	"repro/internal/sched"
+	"repro/internal/stafilos"
+	"repro/internal/stats"
 )
 
 // seedLineage records one wave's 2-hop lineage into an engine's store with
-// controlled start times, as if the engine's FiringObserved mirror had run.
+// controlled start times, as if the engine's FiringObserved had run.
 func seedLineage(e *obs.Engine, node string, root int64, rootSeq uint64, base time.Time, actors ...string) {
 	for i, a := range actors {
 		h := prov.Hop{
@@ -190,20 +196,32 @@ func TestProvenanceEndpoint(t *testing.T) {
 // TestProvenanceDisabledEngine checks the API degrades cleanly when the
 // store is off: the index reports disabled, lineage queries miss.
 func TestProvenanceDisabledEngine(t *testing.T) {
-	e := obs.NewEngine(obs.Options{})
+	e := obs.NewEngine(obs.Options{SampleRate: 1})
+	if e.Prov() != nil {
+		t.Error("Prov() non-nil with Provenance off")
+	}
 	addr, err := e.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	// A traced firing is in the one store and /trace/ serves it, but the
+	// provenance surface stays off.
+	trigger := &event.Event{Wave: event.WaveTag{Root: 1}}
+	e.FiringObserved("sink", trigger, nil, time.Now(), 0, 0, 1)
+	if _, code := get(t, "http://"+addr+"/trace/t1-0"); code != http.StatusOK {
+		t.Errorf("/trace/t1-0 status %d, want 200", code)
+	}
 	body, code := get(t, "http://"+addr+"/provenance")
 	if code != http.StatusOK {
 		t.Fatalf("/provenance status %d", code)
 	}
 	var idx struct {
-		Enabled bool `json:"enabled"`
+		Enabled bool       `json:"enabled"`
+		Stats   prov.Stats `json:"stats"`
+		Waves   []any      `json:"waves"`
 	}
-	if err := json.Unmarshal([]byte(body), &idx); err != nil || idx.Enabled {
+	if err := json.Unmarshal([]byte(body), &idx); err != nil || idx.Enabled || idx.Stats.Recorded != 0 || len(idx.Waves) != 0 {
 		t.Errorf("disabled engine index = %s (err %v)", body, err)
 	}
 	if _, code := get(t, "http://"+addr+"/provenance?wave=t1-0"); code != http.StatusNotFound {
@@ -326,6 +344,68 @@ func TestClusterScopeAndRollup(t *testing.T) {
 	}
 }
 
+// TestOneRecordOneStore pins the single write: with provenance on, a traced
+// run records each sampled firing once (the store's Recorded equals the
+// spans counter, and there is only the one store), and /trace/{id} and
+// /provenance?wave={id} render the same hops in the same order.
+func TestOneRecordOneStore(t *testing.T) {
+	eng := obs.NewEngine(obs.Options{SampleRate: 1, Provenance: true})
+	if eng.Prov() != eng.Lineage() {
+		t.Fatal("provenance and trace views read different stores")
+	}
+	addr, err := eng.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	const events = 40
+	st := stats.NewRegistry()
+	wf, sink := buildObsPipeline(events, 0)
+	d := stafilos.NewDirector(sched.NewFIFO(), stafilos.Options{SourceInterval: 5, Stats: st, Obs: eng})
+	if err := d.Setup(wf); err != nil {
+		t.Fatal(err)
+	}
+	eng.Watch(wf.Name(), wf, st, d)
+	if err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.Tokens) != events {
+		t.Fatalf("sink got %d events, want %d", len(sink.Tokens), events)
+	}
+
+	body, _ := get(t, "http://"+addr+"/metrics")
+	for _, series := range []string{"confluence_trace_spans_total", "confluence_prov_recorded_total"} {
+		if want := fmt.Sprintf("\n%s %d\n", series, 5*events); !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q", strings.TrimSpace(want))
+		}
+	}
+
+	ref := eng.Lineage().Recent(1)[0]
+	id := obs.FormatWaveID(ref.Root, ref.RootSeq)
+	var tr struct {
+		Waves []struct {
+			Spans []map[string]any `json:"spans"`
+		} `json:"waves"`
+	}
+	var pv struct {
+		Wave struct {
+			Hops []map[string]any `json:"hops"`
+		} `json:"wave"`
+	}
+	body, _ = get(t, "http://"+addr+"/trace/"+id)
+	if err := json.Unmarshal([]byte(body), &tr); err != nil || len(tr.Waves) != 1 {
+		t.Fatalf("/trace/%s = %s (err %v)", id, body, err)
+	}
+	body, _ = get(t, "http://"+addr+"/provenance?wave="+id)
+	if err := json.Unmarshal([]byte(body), &pv); err != nil {
+		t.Fatalf("/provenance?wave=%s = %s (err %v)", id, body, err)
+	}
+	if len(pv.Wave.Hops) != 5 || !reflect.DeepEqual(tr.Waves[0].Spans, pv.Wave.Hops) {
+		t.Errorf("views differ:\n/trace      %v\n/provenance %v", tr.Waves[0].Spans, pv.Wave.Hops)
+	}
+}
+
 // TestTraceIndexLimit pins the /trace/?limit= satellite: the index honors
 // the bound newest-first and rejects malformed values.
 func TestTraceIndexLimit(t *testing.T) {
@@ -336,7 +416,7 @@ func TestTraceIndexLimit(t *testing.T) {
 	}
 	defer e.Close()
 	for i := 1; i <= 5; i++ {
-		e.Tracer().Record(obs.Span{Actor: "src", Root: int64(i), RootSeq: 0})
+		e.Lineage().Record(prov.Hop{Actor: "src", Root: int64(i), RootSeq: 0})
 	}
 
 	var idx struct {

@@ -206,9 +206,10 @@ func (m *Monitor) QoSFiring(actor string, eventTime time.Time, hasEventTime bool
 }
 
 // QoSDecision implements obs.QoSHooks: one scheduler decision. Picks are
-// sampled (see pickSampleEvery); parks and empty claims are all recorded.
+// sampled (see pickSampleEvery) starting with the first, so a dump frozen
+// early in a run still holds one; parks and empty claims are all recorded.
 func (m *Monitor) QoSDecision(kind obs.DecisionKind, actor string) {
-	if kind == obs.DecisionPick && m.pickSeq.Add(1)%pickSampleEvery != 0 {
+	if kind == obs.DecisionPick && (m.pickSeq.Add(1)-1)%pickSampleEvery != 0 {
 		return
 	}
 	m.rec.Record(kind.String(), actor)
@@ -226,11 +227,7 @@ func (m *Monitor) onRaise(t *sloTracker) {
 			"ready", b.Ready,
 			"queue_wait_seconds", b.QueueWaitSeconds)
 	}
-	var tracer *obs.Tracer
-	if m.eng != nil {
-		tracer = m.eng.Tracer()
-	}
-	m.rec.Freeze("slo burn-rate alert", t.spec.Name, tracer)
+	m.rec.Freeze("slo burn-rate alert", t.spec.Name, m.eng.Lineage())
 }
 
 // Bottleneck samples live queue depths against the queue-wait watermarks
@@ -441,21 +438,6 @@ func (m *Monitor) handleSLO(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, m.Snapshot())
 }
 
-// decisionView / lineage rendering for /debug/flightrecorder.
-type spanDumpView struct {
-	Actor            string  `json:"actor"`
-	Start            string  `json:"start"`
-	QueueWaitSeconds float64 `json:"queue_wait_seconds"`
-	CostSeconds      float64 `json:"cost_seconds"`
-	Consumed         int     `json:"consumed"`
-	Produced         int     `json:"produced"`
-}
-
-type waveDumpView struct {
-	ID    string         `json:"id"`
-	Spans []spanDumpView `json:"spans"`
-}
-
 // handleFlightRecorder serves the latest frozen dump, or 404 before any
 // alert has frozen one.
 func (m *Monitor) handleFlightRecorder(w http.ResponseWriter, _ *http.Request) {
@@ -464,20 +446,13 @@ func (m *Monitor) handleFlightRecorder(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "flight recorder not frozen (no SLO alert yet)", http.StatusNotFound)
 		return
 	}
-	waves := make([]waveDumpView, 0, len(d.Waves))
+	type waveView struct {
+		ID    string        `json:"id"`
+		Spans []obs.HopView `json:"spans"`
+	}
+	waves := make([]waveView, 0, len(d.Waves))
 	for _, wl := range d.Waves {
-		wv := waveDumpView{ID: wl.ID, Spans: make([]spanDumpView, 0, len(wl.Spans))}
-		for _, s := range wl.Spans {
-			wv.Spans = append(wv.Spans, spanDumpView{
-				Actor:            s.Actor,
-				Start:            s.Start.Format(time.RFC3339Nano),
-				QueueWaitSeconds: s.QueueWait.Seconds(),
-				CostSeconds:      s.Cost.Seconds(),
-				Consumed:         s.Consumed,
-				Produced:         s.Produced,
-			})
-		}
-		waves = append(waves, wv)
+		waves = append(waves, waveView{ID: wl.ID, Spans: obs.HopViews(wl.Hops)})
 	}
 	writeJSON(w, map[string]any{
 		"frozen_at":    d.FrozenAt.Format(time.RFC3339Nano),

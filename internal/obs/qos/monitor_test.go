@@ -21,6 +21,21 @@ import (
 	"repro/internal/window"
 )
 
+// TestFirstPickIsRecorded pins the pick-sampling phase: an alert can raise at
+// the first bad wave, before pickSampleEvery picks exist, and the dump it
+// freezes must still show the scheduler picking.
+func TestFirstPickIsRecorded(t *testing.T) {
+	m := NewMonitor(nil, Options{Logger: discardLogger()})
+	for i := 0; i < pickSampleEvery+1; i++ {
+		m.QoSDecision(obs.DecisionPick, "stage")
+	}
+	m.rec.Freeze("test", "slo", nil)
+	if got := len(m.Frozen().Decisions); got != 2 {
+		t.Fatalf("%d picks recorded %d decisions, want 2 (picks 1 and %d)",
+			pickSampleEvery+1, got, pickSampleEvery+1)
+	}
+}
+
 // TestMonitorRaisesFreezesAndServes drives the full alert flow through the
 // engine's hook stream on a synthetic clock: scheduler decisions stream into
 // the recorder, 20 deadline-missing sink firings raise the burn-rate alert,

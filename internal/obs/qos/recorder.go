@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/prov"
 )
 
 // Flight-recorder defaults.
@@ -51,8 +52,8 @@ type Decision struct {
 
 // WaveLineage is one sampled wave's actor path included in a dump.
 type WaveLineage struct {
-	ID    string     `json:"id"`
-	Spans []obs.Span `json:"-"`
+	ID   string
+	Hops []prov.Hop
 }
 
 // Dump is a frozen flight-recorder capture: the scheduler decisions of the
@@ -134,10 +135,10 @@ func (r *flightRecorder) Record(kind, actor string) {
 }
 
 // Freeze captures the trailing window of decisions plus sampled wave
-// lineages from the tracer (nil-safe) and publishes the dump. Freezes
-// inside the cooldown of a previous one are dropped, so a flapping alert
-// keeps its first — most diagnostic — capture.
-func (r *flightRecorder) Freeze(reason, slo string, tracer *obs.Tracer) {
+// lineages from the engine's lineage store (nil-safe) and publishes the
+// dump. Freezes inside the cooldown of a previous one are dropped, so a
+// flapping alert keeps its first — most diagnostic — capture.
+func (r *flightRecorder) Freeze(reason, slo string, lineage *prov.Store) {
 	now := time.Now()
 	if last := r.lastFreeze.Load(); last != 0 && now.Sub(time.Unix(0, last)) < freezeCooldown {
 		return
@@ -171,14 +172,12 @@ func (r *flightRecorder) Freeze(reason, slo string, tracer *obs.Tracer) {
 		Span:      r.span,
 		Decisions: append([]Decision(nil), kept...),
 	}
-	if tracer != nil {
-		for _, ref := range tracer.Recent(dumpWaves) {
-			spans := tracer.Wave(ref.Root, ref.RootSeq)
-			if len(spans) == 0 {
-				continue
-			}
-			dump.Waves = append(dump.Waves, WaveLineage{ID: ref.ID(), Spans: spans})
+	for _, ref := range lineage.Recent(dumpWaves) {
+		hops := lineage.Wave(ref.Root, ref.RootSeq)
+		if len(hops) == 0 {
+			continue
 		}
+		dump.Waves = append(dump.Waves, WaveLineage{ID: obs.FormatWaveID(ref.Root, ref.RootSeq), Hops: hops})
 	}
 	r.frozen.Store(dump)
 	r.lastFreeze.Store(now.UnixNano())

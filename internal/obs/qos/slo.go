@@ -220,6 +220,13 @@ func (t *sloTracker) evaluate(now time.Time, log *slog.Logger, onRaise func(*slo
 		}
 		return
 	}
+	if fastTotal == 0 {
+		// Nothing to judge (a scrape of an idle window): hand the throttle
+		// slot back, or the first bad sample of the next evalInterval would
+		// go unevaluated.
+		t.lastEval.CompareAndSwap(ns(now), 0)
+		return
+	}
 	if fastTotal < t.spec.MinSamples {
 		return
 	}

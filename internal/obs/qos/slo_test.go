@@ -101,6 +101,22 @@ func TestEvaluateThrottled(t *testing.T) {
 	}
 }
 
+// TestEmptyEvaluationKeepsThrottleSlot pins the scrape-suppresses-alert bug:
+// an evaluation of an empty window (Monitor.Snapshot runs one per scrape)
+// judges nothing, so it must not spend the evalInterval slot the first bad
+// sample needs.
+func TestEmptyEvaluationKeepsThrottleSlot(t *testing.T) {
+	spec := testSLO()
+	spec.MinSamples = 1
+	tr := newSLOTracker(spec)
+	t0 := time.Unix(1000, 0)
+	tr.maybeEvaluate(t0, nil, nil)
+	tr.observe(t0.Add(time.Millisecond), 50*time.Millisecond, nil, nil)
+	if !tr.firing.Load() {
+		t.Fatal("bad sample 1ms after an empty evaluation was throttled")
+	}
+}
+
 // TestSlowWindowVetoesTransientSpike checks the multi-window rule: a burst
 // that saturates the fast window does not raise while the slow window still
 // remembers a long healthy run.

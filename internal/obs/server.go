@@ -245,40 +245,6 @@ func (e *Engine) handleWorkflows(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, out)
 }
 
-// spanView is the /trace/{wavetag} JSON shape: one hop of a wave's lineage.
-type spanView struct {
-	Actor            string  `json:"actor"`
-	In               string  `json:"in,omitempty"`
-	Out              string  `json:"out,omitempty"`
-	Start            string  `json:"start"`
-	QueueWaitSeconds float64 `json:"queue_wait_seconds"`
-	CostSeconds      float64 `json:"cost_seconds"`
-	Consumed         int     `json:"consumed"`
-	Produced         int     `json:"produced"`
-}
-
-func spanViews(spans []Span) []spanView {
-	out := make([]spanView, 0, len(spans))
-	for _, s := range spans {
-		v := spanView{
-			Actor:            s.Actor,
-			Start:            s.Start.Format(time.RFC3339Nano),
-			QueueWaitSeconds: s.QueueWait.Seconds(),
-			CostSeconds:      s.Cost.Seconds(),
-			Consumed:         s.Consumed,
-			Produced:         s.Produced,
-		}
-		if s.In.Root != 0 || len(s.In.Path) > 0 {
-			v.In = s.In.String()
-		}
-		if s.Out.Root != 0 || len(s.Out.Path) > 0 {
-			v.Out = s.Out.String()
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
 // handleTrace serves /trace/ (recent wave index) and /trace/{wavetag} (the
 // wave's full actor path with per-hop timings). The id accepts the
 // canonical "t<root>-<rootseq>" form and rendered wave-tag strings.
@@ -294,14 +260,14 @@ func (e *Engine) handleTrace(w http.ResponseWriter, r *http.Request) {
 			}
 			limit = n
 		}
-		refs := e.tracer.Recent(limit) // newest-first
+		refs := e.store.Recent(limit) // newest-first
 		type waveRefView struct {
 			ID    string `json:"id"`
 			Spans int    `json:"spans"`
 		}
 		out := make([]waveRefView, 0, len(refs))
 		for _, ref := range refs {
-			out = append(out, waveRefView{ID: ref.ID(), Spans: ref.Spans})
+			out = append(out, waveRefView{ID: FormatWaveID(ref.Root, ref.RootSeq), Spans: ref.Hops})
 		}
 		writeJSON(w, map[string]any{
 			"enabled": e.tracer.Enabled(),
@@ -315,21 +281,21 @@ func (e *Engine) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	type waveView struct {
-		ID    string     `json:"id"`
-		Spans []spanView `json:"spans"`
+		ID    string    `json:"id"`
+		Spans []HopView `json:"spans"`
 	}
 	var waves []waveView
 	if hasSeq {
-		if spans := e.tracer.Wave(root, rootSeq); len(spans) > 0 {
-			waves = append(waves, waveView{ID: FormatWaveID(root, rootSeq), Spans: spanViews(spans)})
+		if hops := e.store.Wave(root, rootSeq); len(hops) > 0 {
+			waves = append(waves, waveView{ID: FormatWaveID(root, rootSeq), Spans: HopViews(hops)})
 		}
 	} else {
-		for _, spans := range e.tracer.WavesByRoot(root) {
-			waves = append(waves, waveView{ID: spans[0].WaveID(), Spans: spanViews(spans)})
+		for _, hops := range e.store.WavesByRoot(root) {
+			waves = append(waves, waveView{ID: FormatWaveID(root, hops[0].RootSeq), Spans: HopViews(hops)})
 		}
 	}
 	if len(waves) == 0 {
-		http.Error(w, "wave not traced (not sampled, or evicted from the ring)", http.StatusNotFound)
+		http.Error(w, "wave not traced (not sampled, or evicted)", http.StatusNotFound)
 		return
 	}
 	writeJSON(w, map[string]any{"waves": waves})

@@ -10,6 +10,7 @@ import (
 	"repro/internal/actors"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/obs/prov"
 	"repro/internal/sched"
 	"repro/internal/stafilos"
 	"repro/internal/stats"
@@ -47,18 +48,21 @@ func buildObsPipeline(events int, stageDelay time.Duration) (*model.Workflow, *a
 	return wf, sink
 }
 
-// TestTraceRingUnderParallelExecutor races the trace ring and the telemetry
-// registry against an 8-worker parallel run: directors record spans and
-// histogram samples from every worker while reader goroutines hammer the
+// TestTraceRingUnderParallelExecutor races the lineage store and the
+// telemetry registry against an 8-worker parallel run: directors record hops
+// and histogram samples from every worker while reader goroutines hammer the
 // lookup and scrape paths. Run under -race this is the data-race proof for
-// the lock-striped ring; afterwards it checks a wave's lineage is the full
+// the lock-striped store; afterwards it checks a wave's lineage is the full
 // five-hop actor path in order.
 func TestTraceRingUnderParallelExecutor(t *testing.T) {
 	const events = 300
-	// Waves hash to 16 ring stripes; size every stripe to hold all spans of
-	// the run (5 hops per wave) so eviction cannot eat a lineage even if the
-	// hash distributes unevenly.
-	eng := obs.NewEngine(obs.Options{SampleRate: 1, TraceCapacity: 16 * 5 * events})
+	// Waves hash to 16 stripes; provenance retention gives every stripe
+	// room for all hops of the run (5 per wave) so eviction cannot eat a
+	// lineage even if the hash distributes unevenly.
+	eng := obs.NewEngine(obs.Options{SampleRate: 1, Provenance: true})
+	if got := eng.Lineage().Stats().CapacityHops / prov.Stripes; got < 5*events {
+		t.Fatalf("stripe capacity %d < %d hops of the run", got, 5*events)
+	}
 	st := stats.NewRegistry()
 	wf, sink := buildObsPipeline(events, 0)
 	d := stafilos.NewParallelDirector(sched.NewFIFO(),
@@ -80,8 +84,8 @@ func TestTraceRingUnderParallelExecutor(t *testing.T) {
 					return
 				default:
 				}
-				for _, ref := range eng.Tracer().Recent(50) {
-					eng.Tracer().Wave(ref.Root, ref.RootSeq)
+				for _, ref := range eng.Lineage().Recent(50) {
+					eng.Lineage().Wave(ref.Root, ref.RootSeq)
 				}
 				if err := eng.Registry().WritePrometheus(io.Discard); err != nil {
 					t.Errorf("scrape: %v", err)
@@ -101,16 +105,17 @@ func TestTraceRingUnderParallelExecutor(t *testing.T) {
 		t.Fatalf("sink got %d events, want %d", len(sink.Tokens), events)
 	}
 
-	// Every wave was sampled and the ring is big enough to hold them all:
+	// Every wave was sampled and the store is big enough to hold them all:
 	// at least one wave must show the complete lineage.
 	want := []string{"src", "stage1", "stage2", "stage3", "sink"}
-	refs := eng.Tracer().Recent(0)
+	refs := eng.Lineage().Recent(0)
 	if len(refs) == 0 {
 		t.Fatal("no waves recorded")
 	}
 	full := 0
 	for _, ref := range refs {
-		spans := eng.Tracer().Wave(ref.Root, ref.RootSeq)
+		id := obs.FormatWaveID(ref.Root, ref.RootSeq)
+		spans := eng.Lineage().Wave(ref.Root, ref.RootSeq)
 		if len(spans) != len(want) {
 			continue
 		}
@@ -122,17 +127,17 @@ func TestTraceRingUnderParallelExecutor(t *testing.T) {
 			}
 		}
 		if !ok {
-			t.Errorf("wave %s path out of order: %v", ref.ID(), actorsOf(spans))
+			t.Errorf("wave %s path out of order: %v", id, actorsOf(spans))
 			continue
 		}
 		full++
 		// Downstream hops carry the trigger wave and a non-negative queue wait.
 		for _, s := range spans[1:] {
 			if s.In.Root != ref.Root {
-				t.Errorf("wave %s: span %s In.Root = %d", ref.ID(), s.Actor, s.In.Root)
+				t.Errorf("wave %s: span %s In.Root = %d", id, s.Actor, s.In.Root)
 			}
 			if s.QueueWait < 0 {
-				t.Errorf("wave %s: span %s negative queue wait %v", ref.ID(), s.Actor, s.QueueWait)
+				t.Errorf("wave %s: span %s negative queue wait %v", id, s.Actor, s.QueueWait)
 			}
 		}
 	}
@@ -141,7 +146,7 @@ func TestTraceRingUnderParallelExecutor(t *testing.T) {
 	}
 }
 
-func actorsOf(spans []obs.Span) []string {
+func actorsOf(spans []prov.Hop) []string {
 	out := make([]string, len(spans))
 	for i, s := range spans {
 		out[i] = s.Actor

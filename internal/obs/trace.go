@@ -2,60 +2,26 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/event"
+	"repro/internal/obs/prov"
 )
 
-// DefaultTraceCapacity is the total span capacity of a Tracer when Options
-// leaves it zero.
-const DefaultTraceCapacity = 4096
+// traceCapacity is how many hops the lineage store holds when
+// Options.Provenance is off.
+const traceCapacity = 4096
 
-// traceStripes is the number of ring stripes; a power of two so stripe
-// selection is a mask. All spans of one wave hash to the same stripe, so a
-// wave lookup scans exactly one stripe.
-const traceStripes = 16
-
-// Span is one recorded firing of a sampled wave: which actor fired, which
-// wave the firing belonged to, when it started, how long the consumed window
-// waited in the ready queue (per-hop queue wait) and what the firing cost.
-// An output event's lineage is the wave's spans in record order: the actor
-// path from source to sink with per-hop timings.
-type Span struct {
-	// Actor is the firing actor's name.
-	Actor string
-	// Root and RootSeq identify the wave (the external event).
-	Root    int64
-	RootSeq uint64
-	// In is the trigger event's wave-tag (zero Path and Root for a source
-	// firing, which starts the wave).
-	In event.WaveTag
-	// Out is the wave-tag of the firing's first emission (zero when the
-	// firing produced nothing).
-	Out event.WaveTag
-	// Start is the engine time the firing began.
-	Start time.Time
-	// QueueWait is how long the consumed window sat ready before the firing
-	// started (zero for source firings).
-	QueueWait time.Duration
-	// Cost is the firing's measured (or modelled) cost.
-	Cost time.Duration
-	// Consumed and Produced count the firing's input and output events.
-	Consumed int
-	Produced int
-
-	// seq is the global record order, used to reconstruct the actor path.
-	seq uint64
+// traceRetention is the lineage store's shape for tracing without
+// provenance: capacity hops in total, newest kept, each stripe evicting a
+// quarter of its share at a time.
+func traceRetention(capacity int) prov.Options {
+	per := (capacity + prov.Stripes - 1) / prov.Stripes
+	seg := max(per/4, 1)
+	return prov.Options{SegmentHops: seg, MaxSegments: prov.Stripes * ((per + seg - 1) / seg)}
 }
-
-// WaveID renders the span's wave identifier ("t<root>-<rootseq>"), the key
-// accepted by Tracer lookups and the /trace/{wavetag} endpoint.
-func (s Span) WaveID() string { return FormatWaveID(s.Root, s.RootSeq) }
 
 // FormatWaveID renders a wave identifier.
 func FormatWaveID(root int64, rootSeq uint64) string {
@@ -99,38 +65,15 @@ func ParseWaveID(s string) (root int64, rootSeq uint64, hasSeq bool, err error) 
 	return root, rootSeq, true, nil
 }
 
-// WaveRef summarizes one wave present in the trace ring.
-type WaveRef struct {
-	Root    int64
-	RootSeq uint64
-	// Spans is how many spans of the wave the ring currently holds.
-	Spans int
-	// lastSeq orders waves by recency.
-	lastSeq uint64
-}
-
-// ID renders the wave identifier.
-func (w WaveRef) ID() string { return FormatWaveID(w.Root, w.RootSeq) }
-
-// traceStripe is one lock-striped fixed-size span ring.
-type traceStripe struct {
-	mu   sync.Mutex
-	buf  []Span
-	next int
-}
-
-// Tracer records firing spans for sampled waves into a lock-striped
-// fixed-size ring buffer. Sampling is deterministic per wave — a wave is
-// either fully traced or not at all, so a sampled output event's lineage is
-// always complete. A nil or zero-rate Tracer is disabled: Sampled reports
-// false without touching any shared state, and Record is never reached, so
-// the engine hot path allocates nothing.
+// Tracer makes the per-wave tracing decision. Sampling is deterministic per
+// wave — a wave is either fully traced or not at all, so a sampled output
+// event's lineage is always complete. A nil or zero-rate Tracer is disabled:
+// Sampled reports false without touching any shared state, so the engine hot
+// path records nothing.
 type Tracer struct {
 	// mod is the sampling modulus: 0 disables tracing, 1 samples every
 	// wave, n samples waves whose hash ≡ 0 (mod n) (≈ rate 1/n).
-	mod     uint64
-	seq     atomic.Uint64
-	stripes [traceStripes]traceStripe
+	mod uint64
 
 	// forced is the cross-bridge trace-propagation table: waves the
 	// upstream node sampled that this node must trace regardless of its own
@@ -152,14 +95,9 @@ const forcedSlots = 2048
 // slot.
 const forcedProbes = 4
 
-// NewTracer builds a tracer holding up to capacity spans in total (0 =
-// DefaultTraceCapacity) sampling approximately the given fraction of waves
-// (rate <= 0 disables tracing; rate >= 1 traces every wave).
-func NewTracer(capacity int, rate float64) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	per := (capacity + traceStripes - 1) / traceStripes
+// NewTracer builds a tracer sampling approximately the given fraction of
+// waves (rate <= 0 disables tracing; rate >= 1 traces every wave).
+func NewTracer(rate float64) *Tracer {
 	t := &Tracer{}
 	switch {
 	case rate <= 0:
@@ -169,32 +107,17 @@ func NewTracer(capacity int, rate float64) *Tracer {
 	default:
 		t.mod = uint64(1/rate + 0.5)
 	}
-	for i := range t.stripes {
-		t.stripes[i].buf = make([]Span, per)
-	}
 	return t
 }
 
-// Enabled reports whether the tracer records anything at all. A tracer
-// with local sampling off still records once a bridge forces waves into it.
+// Enabled reports whether any wave can be sampled at all. A tracer with
+// local sampling off still samples once a bridge forces waves into it.
 func (t *Tracer) Enabled() bool {
 	return t != nil && (t.mod != 0 || t.forcedN.Load() != 0)
 }
 
-// waveHash mixes a wave identity into a well-distributed 64-bit value
-// (splitmix64 finalizer), shared by sampling and stripe selection.
-func waveHash(root int64, rootSeq uint64) uint64 {
-	x := uint64(root) ^ (rootSeq * 0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // Sampled reports whether the given wave is traced: either the local
-// sampling decision (deterministic in the wave identity, so every span of
+// sampling decision (deterministic in the wave identity, so every hop of
 // a sampled wave is recorded) or an upstream node's decision propagated
 // over a bridge (Force).
 func (t *Tracer) Sampled(w event.WaveTag) bool {
@@ -204,7 +127,7 @@ func (t *Tracer) Sampled(w event.WaveTag) bool {
 	if t.mod == 1 {
 		return true
 	}
-	h := waveHash(w.Root, w.RootSeq)
+	h := prov.WaveHash(w.Root, w.RootSeq)
 	if t.mod != 0 && h%t.mod == 0 {
 		return true
 	}
@@ -233,7 +156,7 @@ func (t *Tracer) Force(root int64, rootSeq uint64) {
 	if t == nil {
 		return
 	}
-	h := waveHash(root, rootSeq)
+	h := prov.WaveHash(root, rootSeq)
 	key := h | 1
 	slot := h & (forcedSlots - 1)
 	for i := uint64(0); i < forcedProbes; i++ {
@@ -255,108 +178,4 @@ func (t *Tracer) Force(root int64, rootSeq uint64) {
 	// Probe window full of other waves: overwrite the home slot.
 	t.forced[slot].Store(key)
 	t.forcedN.Add(1)
-}
-
-// Record stores a span, overwriting the oldest span of its stripe when the
-// ring is full. Callers check Sampled first.
-func (t *Tracer) Record(s Span) {
-	s.seq = t.seq.Add(1)
-	st := &t.stripes[waveHash(s.Root, s.RootSeq)&(traceStripes-1)]
-	st.mu.Lock()
-	st.buf[st.next] = s
-	st.next++
-	if st.next == len(st.buf) {
-		st.next = 0
-	}
-	st.mu.Unlock()
-}
-
-// Wave returns the ring's spans for one wave in record order (the actor
-// path from source to sink), or nil when the wave was not sampled or has
-// been overwritten.
-func (t *Tracer) Wave(root int64, rootSeq uint64) []Span {
-	if t == nil {
-		return nil
-	}
-	st := &t.stripes[waveHash(root, rootSeq)&(traceStripes-1)]
-	var out []Span
-	st.mu.Lock()
-	for _, s := range st.buf {
-		if s.Actor != "" && s.Root == root && s.RootSeq == rootSeq {
-			out = append(out, s)
-		}
-	}
-	st.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
-}
-
-// WavesByRoot returns the spans of every ring-resident wave whose root
-// timestamp matches, grouped per wave in record order. Wave-tag strings do
-// not carry the root sequence number, so a lookup by rendered tag can match
-// several external events with equal timestamps.
-func (t *Tracer) WavesByRoot(root int64) [][]Span {
-	if t == nil {
-		return nil
-	}
-	byWave := map[uint64][]Span{}
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.mu.Lock()
-		for _, s := range st.buf {
-			if s.Actor != "" && s.Root == root {
-				byWave[s.RootSeq] = append(byWave[s.RootSeq], s)
-			}
-		}
-		st.mu.Unlock()
-	}
-	out := make([][]Span, 0, len(byWave))
-	for _, spans := range byWave {
-		sort.Slice(spans, func(i, j int) bool { return spans[i].seq < spans[j].seq })
-		out = append(out, spans)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0].RootSeq < out[j][0].RootSeq })
-	return out
-}
-
-// Recent summarizes up to n ring-resident waves, most recently recorded
-// first — the /trace/ index view.
-func (t *Tracer) Recent(n int) []WaveRef {
-	if t == nil {
-		return nil
-	}
-	type key struct {
-		root int64
-		seq  uint64
-	}
-	waves := map[key]*WaveRef{}
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.mu.Lock()
-		for _, s := range st.buf {
-			if s.Actor == "" {
-				continue
-			}
-			k := key{s.Root, s.RootSeq}
-			w := waves[k]
-			if w == nil {
-				w = &WaveRef{Root: s.Root, RootSeq: s.RootSeq}
-				waves[k] = w
-			}
-			w.Spans++
-			if s.seq > w.lastSeq {
-				w.lastSeq = s.seq
-			}
-		}
-		st.mu.Unlock()
-	}
-	out := make([]WaveRef, 0, len(waves))
-	for _, w := range waves {
-		out = append(out, *w)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].lastSeq > out[j].lastSeq })
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
 }

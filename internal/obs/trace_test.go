@@ -7,7 +7,11 @@ import (
 
 	"repro/internal/event"
 	"repro/internal/model"
+	"repro/internal/obs/prov"
 )
+
+// traceStore is the lineage store as an engine without provenance sizes it.
+func traceStore(capacity int) *prov.Store { return prov.NewStore(traceRetention(capacity)) }
 
 func TestParseWaveID(t *testing.T) {
 	cases := []struct {
@@ -61,7 +65,7 @@ func TestFormatParseRoundTrip(t *testing.T) {
 }
 
 func TestSamplingDeterministicAndDisabled(t *testing.T) {
-	off := NewTracer(0, 0)
+	off := NewTracer(0)
 	if off.Enabled() {
 		t.Error("rate 0 tracer reports Enabled")
 	}
@@ -72,11 +76,12 @@ func TestSamplingDeterministicAndDisabled(t *testing.T) {
 	if nilT.Enabled() || nilT.Sampled(event.WaveTag{Root: 1}) {
 		t.Error("nil tracer should be disabled")
 	}
-	if nilT.Wave(1, 0) != nil || nilT.WavesByRoot(1) != nil || nilT.Recent(5) != nil {
-		t.Error("nil tracer lookups should return nil")
+	var nilS *prov.Store
+	if nilS.Wave(1, 0) != nil || nilS.WavesByRoot(1) != nil || nilS.Recent(5) != nil {
+		t.Error("nil store lookups should return nil")
 	}
 
-	all := NewTracer(0, 1)
+	all := NewTracer(1)
 	for i := int64(0); i < 100; i++ {
 		if !all.Sampled(event.WaveTag{Root: i, RootSeq: uint64(i)}) {
 			t.Fatalf("rate 1 tracer skipped wave %d", i)
@@ -85,7 +90,7 @@ func TestSamplingDeterministicAndDisabled(t *testing.T) {
 
 	// A fractional rate must be deterministic per wave and land near the
 	// requested fraction.
-	tr := NewTracer(0, 0.01)
+	tr := NewTracer(0.01)
 	sampled := 0
 	const n = 100_000
 	for i := 0; i < n; i++ {
@@ -105,11 +110,11 @@ func TestSamplingDeterministicAndDisabled(t *testing.T) {
 }
 
 func TestRingWrapKeepsNewestSpans(t *testing.T) {
-	// Total capacity 32 across 16 stripes = 2 spans per stripe; all spans of
+	// Total capacity 32 across 16 stripes = 2 hops per stripe; all hops of
 	// one wave share a stripe, so the third record evicts the oldest.
-	tr := NewTracer(32, 1)
+	tr := traceStore(32)
 	for i := 0; i < 5; i++ {
-		tr.Record(Span{Actor: fmt.Sprintf("a%d", i), Root: 42, RootSeq: 1})
+		tr.Record(prov.Hop{Actor: fmt.Sprintf("a%d", i), Root: 42, RootSeq: 1})
 	}
 	spans := tr.Wave(42, 1)
 	if len(spans) != 2 {
@@ -121,11 +126,11 @@ func TestRingWrapKeepsNewestSpans(t *testing.T) {
 }
 
 func TestWaveLookupOrderAndIsolation(t *testing.T) {
-	tr := NewTracer(0, 1)
-	tr.Record(Span{Actor: "src", Root: 7, RootSeq: 0})
-	tr.Record(Span{Actor: "other", Root: 8, RootSeq: 0})
-	tr.Record(Span{Actor: "stage", Root: 7, RootSeq: 0})
-	tr.Record(Span{Actor: "sink", Root: 7, RootSeq: 0})
+	tr := traceStore(traceCapacity)
+	tr.Record(prov.Hop{Actor: "src", Root: 7, RootSeq: 0})
+	tr.Record(prov.Hop{Actor: "other", Root: 8, RootSeq: 0})
+	tr.Record(prov.Hop{Actor: "stage", Root: 7, RootSeq: 0})
+	tr.Record(prov.Hop{Actor: "sink", Root: 7, RootSeq: 0})
 
 	spans := tr.Wave(7, 0)
 	if len(spans) != 3 {
@@ -142,11 +147,11 @@ func TestWaveLookupOrderAndIsolation(t *testing.T) {
 }
 
 func TestWavesByRootGroupsRootSeq(t *testing.T) {
-	tr := NewTracer(0, 1)
+	tr := traceStore(traceCapacity)
 	// Two external events with the same timestamp: same Root, distinct RootSeq.
-	tr.Record(Span{Actor: "src", Root: 5, RootSeq: 1})
-	tr.Record(Span{Actor: "src", Root: 5, RootSeq: 0})
-	tr.Record(Span{Actor: "sink", Root: 5, RootSeq: 1})
+	tr.Record(prov.Hop{Actor: "src", Root: 5, RootSeq: 1})
+	tr.Record(prov.Hop{Actor: "src", Root: 5, RootSeq: 0})
+	tr.Record(prov.Hop{Actor: "sink", Root: 5, RootSeq: 1})
 	waves := tr.WavesByRoot(5)
 	if len(waves) != 2 {
 		t.Fatalf("got %d waves, want 2", len(waves))
@@ -160,19 +165,19 @@ func TestWavesByRootGroupsRootSeq(t *testing.T) {
 }
 
 func TestRecentOrdersByRecency(t *testing.T) {
-	tr := NewTracer(0, 1)
-	tr.Record(Span{Actor: "src", Root: 1, RootSeq: 0})
-	tr.Record(Span{Actor: "src", Root: 2, RootSeq: 0})
-	tr.Record(Span{Actor: "sink", Root: 1, RootSeq: 0}) // wave 1 touched last
+	tr := traceStore(traceCapacity)
+	tr.Record(prov.Hop{Actor: "src", Root: 1, RootSeq: 0})
+	tr.Record(prov.Hop{Actor: "src", Root: 2, RootSeq: 0})
+	tr.Record(prov.Hop{Actor: "sink", Root: 1, RootSeq: 0}) // wave 1 touched last
 	refs := tr.Recent(10)
 	if len(refs) != 2 {
 		t.Fatalf("got %d waves, want 2", len(refs))
 	}
-	if refs[0].Root != 1 || refs[0].Spans != 2 {
-		t.Errorf("most recent = root %d with %d spans, want root 1 with 2", refs[0].Root, refs[0].Spans)
+	if refs[0].Root != 1 || refs[0].Hops != 2 {
+		t.Errorf("most recent = root %d with %d spans, want root 1 with 2", refs[0].Root, refs[0].Hops)
 	}
-	if refs[1].Root != 2 || refs[1].Spans != 1 {
-		t.Errorf("second = root %d with %d spans, want root 2 with 1", refs[1].Root, refs[1].Spans)
+	if refs[1].Root != 2 || refs[1].Hops != 1 {
+		t.Errorf("second = root %d with %d spans, want root 2 with 1", refs[1].Root, refs[1].Hops)
 	}
 	if got := tr.Recent(1); len(got) != 1 || got[0].Root != 1 {
 		t.Errorf("Recent(1) = %+v, want just root 1", got)
@@ -218,13 +223,13 @@ func TestFiringObservedSourceRecordsPerWave(t *testing.T) {
 	}
 	e.FiringObserved("src", nil, emissions, time.Now(), time.Millisecond, 0, 0)
 
-	if got := len(e.Tracer().Wave(10, 0)); got != 1 {
+	if got := len(e.Lineage().Wave(10, 0)); got != 1 {
 		t.Errorf("wave t10-0: %d spans, want 1 (duplicate emissions collapsed)", got)
 	}
-	if got := len(e.Tracer().Wave(11, 0)); got != 1 {
+	if got := len(e.Lineage().Wave(11, 0)); got != 1 {
 		t.Errorf("wave t11-0: %d spans, want 1", got)
 	}
-	if got := len(e.Tracer().Wave(11, 1)); got != 1 {
+	if got := len(e.Lineage().Wave(11, 1)); got != 1 {
 		t.Errorf("wave t11-1: %d spans, want 1", got)
 	}
 	if got := e.spans.Value(); got != 3 {
@@ -236,7 +241,7 @@ func TestFiringObservedSourceRecordsPerWave(t *testing.T) {
 // the local sampler would skip becomes sampled once a bridge forces it, and
 // forcing is what flips a rate-0 tracer to Enabled.
 func TestForceEnablesWaveTracing(t *testing.T) {
-	tr := NewTracer(0, 0)
+	tr := NewTracer(0)
 	if tr.Enabled() {
 		t.Fatal("rate-0 tracer enabled before any force")
 	}
@@ -257,10 +262,19 @@ func TestForceEnablesWaveTracing(t *testing.T) {
 		t.Errorf("re-forcing grew the forced count to %d, want 1", got)
 	}
 
-	// Spans of a forced wave land in the ring like any sampled wave's.
-	tr.Record(Span{Actor: "recv", Root: 7, RootSeq: 3})
-	if spans := tr.Wave(7, 3); len(spans) != 1 || spans[0].Actor != "recv" {
-		t.Errorf("forced wave spans = %+v", spans)
+	// Firings of a forced wave are recorded like any sampled wave's, and
+	// only those.
+	e := NewEngine(Options{})
+	e.traceForced(7, 3, 0)
+	for _, seq := range []uint64{3, 4} {
+		trigger := &event.Event{Wave: event.WaveTag{Root: 7, RootSeq: seq}}
+		e.FiringObserved("recv", trigger, nil, time.Now(), 0, 0, 1)
+	}
+	if hops := e.Lineage().Wave(7, 3); len(hops) != 1 || hops[0].Actor != "recv" {
+		t.Errorf("forced wave hops = %+v", hops)
+	}
+	if hops := e.Lineage().Wave(7, 4); hops != nil {
+		t.Errorf("unforced wave recorded on a rate-0 engine: %+v", hops)
 	}
 
 	var nilT *Tracer
@@ -271,7 +285,7 @@ func TestForceEnablesWaveTracing(t *testing.T) {
 // its capacity: Force stays best-effort (newest wins its home slot, no
 // unbounded growth) and never makes an unforced wave read as sampled.
 func TestForceTableOverwriteKeepsNewest(t *testing.T) {
-	tr := NewTracer(0, 0)
+	tr := NewTracer(0)
 	const n = forcedSlots * 4
 	for i := 0; i < n; i++ {
 		tr.Force(int64(i), uint64(i))
@@ -297,7 +311,7 @@ func TestForceTableOverwriteKeepsNewest(t *testing.T) {
 // TestForceWithFractionalRate checks forcing composes with a configured
 // sample rate rather than replacing it.
 func TestForceWithFractionalRate(t *testing.T) {
-	tr := NewTracer(0, 0.000001) // samples almost nothing on its own
+	tr := NewTracer(0.000001) // samples almost nothing on its own
 	w := event.WaveTag{Root: 1_000_003, RootSeq: 5}
 	if tr.Sampled(w) {
 		t.Skip("wave happens to hash into the sample set")

@@ -4,10 +4,10 @@
 // scheduler (RB) — plus FIFO, LQF and EDF policies that further exercise
 // the framework's pluggability.
 //
-// Every policy satisfies the framework's scheduler concurrency contract
-// (stafilos.ConcurrentScheduler): the exported Scheduler methods take the
-// policy lock internally, so parallel workers call Enqueue, Claim and
-// ActorFired directly — no engine-wide lock exists around the scheduler.
+// Every policy satisfies the stafilos.Scheduler concurrency contract: the
+// exported Scheduler methods take the policy lock internally, so parallel
+// workers call Enqueue, Claim and ActorFired directly — no engine-wide lock
+// exists around the scheduler.
 package sched
 
 import (
@@ -177,7 +177,7 @@ func (s *quantumCore) nextActorLocked() *stafilos.Entry {
 	}
 }
 
-// Claim implements stafilos.ConcurrentScheduler: the shared skip-busy claim
+// Claim implements stafilos.Scheduler: the shared skip-busy claim
 // over this policy's NextActor order.
 func (s *quantumCore) Claim() *stafilos.Entry {
 	s.Mu.Lock()

@@ -29,7 +29,8 @@ const minCostSeconds = 1e-6
 // — the behavior the paper identifies as RB's response-time weakness.
 //
 // Like the other policies, RB locks Base.Mu internally in every exported
-// Scheduler method and so satisfies stafilos.ConcurrentScheduler.
+// Scheduler method and so satisfies the stafilos.Scheduler concurrency
+// contract.
 type RB struct {
 	*stafilos.Base
 	// prioritizeSources, when set, schedules sources in regular intervals
@@ -174,7 +175,7 @@ func (s *RB) nextActorLocked() *stafilos.Entry {
 	}
 }
 
-// Claim implements stafilos.ConcurrentScheduler: the shared skip-busy claim
+// Claim implements stafilos.Scheduler: the shared skip-busy claim
 // over RB's highest-rate order. RB keeps sources inside the active queue, so
 // ClaimRunnable's parking covers them too.
 func (s *RB) Claim() *stafilos.Entry {

@@ -52,13 +52,11 @@ func (e *Env) Priority(name string) int {
 // Enqueue is called whenever a TM Windowed Receiver produces a window,
 // which can happen in the middle of a firing.
 //
-// Concurrency contract: implementations shipped in internal/sched are safe
-// for concurrent use — Enqueue, NextActor, ActorFired, HasWork and the
-// iteration hooks may be called from parallel workers without any engine
-// lock; each policy serializes its own bookkeeping internally (the Base
-// mutex) with critical sections limited to heap and state updates. Policies
-// that additionally implement ConcurrentScheduler support the parallel
-// director's direct worker claiming.
+// Concurrency contract: implementations are safe for concurrent use —
+// Enqueue, NextActor, Claim, ActorFired, HasWork and the iteration hooks may
+// be called from parallel workers without any engine lock; each policy
+// serializes its own bookkeeping internally (the Base mutex) with critical
+// sections limited to heap and state updates.
 type Scheduler interface {
 	// Name identifies the policy ("QBS", "RR", "RB", …).
 	Name() string
@@ -74,6 +72,16 @@ type Scheduler interface {
 	// NextActor returns the next actor to fire, or nil to end the current
 	// director iteration.
 	NextActor() *Entry
+	// Claim is what the parallel SCWF director's workers call instead of
+	// NextActor to pull their next firing directly, without a dispatcher
+	// round-trip: it selects the next runnable actor in policy order,
+	// skipping (and parking, where the policy keeps a ready queue) entries
+	// currently firing on another worker, and marks the returned entry as
+	// firing via TryFire — all under the policy's own lock, so concurrent
+	// workers can never claim the same actor twice and the policy still
+	// decides order. It returns nil when nothing is claimable right now —
+	// either there is no work, or all work sits behind mid-firing actors.
+	Claim() *Entry
 	// ActorFired reports a completed firing and its cost so the policy can
 	// account quanta and update states.
 	ActorFired(e *Entry, cost time.Duration, produced int)
@@ -87,21 +95,9 @@ type Scheduler interface {
 	HasWork() bool
 }
 
-// ConcurrentScheduler extends Scheduler with the atomic claim operation the
-// parallel SCWF director's workers use to pull their next firing directly,
-// without a dispatcher round-trip. Claim combines NextActor with the
-// firing-exclusivity check under the policy's own lock, so concurrent
-// workers can never claim the same actor twice and the policy still decides
-// order.
-type ConcurrentScheduler interface {
-	Scheduler
-	// Claim selects the next runnable actor in policy order, skipping (and
-	// parking, where the policy keeps a ready queue) entries currently
-	// firing on another worker, and marks the returned entry as firing via
-	// TryFire. It returns nil when nothing is claimable right now — either
-	// there is no work, or all work sits behind mid-firing actors.
-	Claim() *Entry
-}
+// ConcurrentScheduler is the name Claim's interface had while it was
+// optional; benchmark/layers.go still asserts to it.
+type ConcurrentScheduler = Scheduler
 
 // BatchEnqueuer is an optional Scheduler extension: a policy that
 // implements it accepts a whole receiver drain in one call, paying the
@@ -113,96 +109,6 @@ type ConcurrentScheduler interface {
 // policy in internal/sched implements it.
 type BatchEnqueuer interface {
 	EnqueueBatch(items []ReadyItem)
-}
-
-// Synchronize adapts a plain single-threaded Scheduler to the concurrent
-// contract with one wrapping lock and a conservative claim that does not
-// look past a busy policy head. The five shipped policies implement
-// ConcurrentScheduler natively; this adapter exists so user-supplied
-// policies keep working under the parallel director.
-func Synchronize(s Scheduler) ConcurrentScheduler {
-	if cs, ok := s.(ConcurrentScheduler); ok {
-		return cs
-	}
-	return &syncedScheduler{s: s}
-}
-
-// syncedScheduler serializes every call into a foreign policy.
-type syncedScheduler struct {
-	mu sync.Mutex
-	s  Scheduler
-}
-
-func (w *syncedScheduler) Name() string { return w.s.Name() }
-
-func (w *syncedScheduler) Init(env *Env) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.s.Init(env)
-}
-
-func (w *syncedScheduler) Register(a model.Actor, source bool) *Entry {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.s.Register(a, source)
-}
-
-func (w *syncedScheduler) Enqueue(item ReadyItem) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.s.Enqueue(item)
-}
-
-// EnqueueBatch delivers a receiver drain under one adapter-lock
-// acquisition; the wrapped policy still sees per-item Enqueue calls.
-func (w *syncedScheduler) EnqueueBatch(items []ReadyItem) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, it := range items {
-		w.s.Enqueue(it)
-	}
-}
-
-func (w *syncedScheduler) NextActor() *Entry {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.s.NextActor()
-}
-
-func (w *syncedScheduler) ActorFired(e *Entry, cost time.Duration, produced int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.s.ActorFired(e, cost, produced)
-}
-
-func (w *syncedScheduler) IterationBegin() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.s.IterationBegin()
-}
-
-func (w *syncedScheduler) IterationEnd() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.s.IterationEnd()
-}
-
-func (w *syncedScheduler) HasWork() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.s.HasWork()
-}
-
-// Claim takes the policy's head; without queue access it cannot park a
-// busy head, so it conservatively reports nothing claimable instead.
-func (w *syncedScheduler) Claim() *Entry {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	e := w.s.NextActor()
-	if e == nil || !e.TryFire() {
-		return nil
-	}
-	return e
 }
 
 var itemSeq atomic.Uint64

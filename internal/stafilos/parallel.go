@@ -21,8 +21,8 @@ import (
 //
 // There is no engine lock and no dispatcher. The engine state is sharded:
 //   - the scheduler serializes its own bookkeeping behind the policy lock
-//     (the ConcurrentScheduler contract), with critical sections limited to
-//     heap and state updates;
+//     (the Scheduler concurrency contract), with critical sections limited
+//     to heap and state updates;
 //   - each actor entry carries its own ready-queue lock and an atomic
 //     firing flag, so a worker owns an actor's windows from a successful
 //     Claim until EndFire;
@@ -46,8 +46,6 @@ import (
 // second driver over the shared SCWF core.
 type ParallelDirector struct {
 	scwf
-	// claimer is scwf.sched under the concurrent contract.
-	claimer ConcurrentScheduler
 	workers int
 
 	// pool recycles per-firing contexts (timekeeper, staged windows,
@@ -100,18 +98,14 @@ type firingScratch struct {
 }
 
 // NewParallelDirector builds a parallel SCWF director with the given worker
-// count (0 = GOMAXPROCS). Policies from internal/sched satisfy the
-// concurrent-scheduler contract natively; any other Scheduler is adapted
-// with a wrapping lock (Synchronize).
+// count (0 = GOMAXPROCS).
 func NewParallelDirector(sched Scheduler, opts Options, workers int) *ParallelDirector {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	opts.Clock = clock.NewReal() // parallel execution is real-time only
-	cs := Synchronize(sched)
 	d := &ParallelDirector{
-		scwf:    newSCWF(cs, opts),
-		claimer: cs,
+		scwf:    newSCWF(sched, opts),
 		workers: workers,
 		wake:    ring.NewWaiter(),
 	}
@@ -225,14 +219,14 @@ func (d *ParallelDirector) claim() *Entry {
 	var e *Entry
 	if d.obs != nil {
 		begin := time.Now()
-		e = d.claimer.Claim()
+		e = d.sched.Claim()
 		name := ""
 		if e != nil {
 			name = e.Actor.Name()
 		}
 		d.obs.ClaimObserved(name, time.Since(begin))
 	} else {
-		e = d.claimer.Claim()
+		e = d.sched.Claim()
 	}
 	if e == nil {
 		d.inFlight.Add(-1)
