@@ -53,7 +53,8 @@ bench-build:
 # bench-gate enforces the lock-free hot-path acceptance criteria (see
 # DESIGN.md, section "Zero-alloc hot path"): the steady-state firing loop
 # and SCWF passthrough delivery must allocate nothing, a pipeline on the
-# sequential SCWF director at most 0.05 objects per event, the lock-free
+# sequential SCWF director at most 0.05 objects per event, keyed records
+# through group-by sliding and timed windows on it at most 2, the lock-free
 # ring invariants must hold at 1, 2 and 8 schedulable cores, and pipeline
 # throughput must stay within 10% of the recorded lockfree baseline in
 # BENCH_hotpath.json. The throughput leg is wall-clock sensitive, so it
@@ -65,7 +66,7 @@ bench-gate:
 	GOMAXPROCS=1 $(GO) test ./internal/ring/ -count 1
 	GOMAXPROCS=2 $(GO) test ./internal/ring/ -count 1
 	GOMAXPROCS=8 $(GO) test ./internal/ring/ -count 1
-	$(GO) test ./internal/stafilos/ -run 'TestSCWFPassthroughDeliveryZeroAlloc|TestSequentialPipelineSteadyStateAllocs' -v -count 1
+	$(GO) test ./internal/stafilos/ -run 'TestSCWFPassthroughDeliveryZeroAlloc|TestSequentialPipelineSteadyStateAllocs|TestWindowedDeliverySteadyStateAllocs' -v -count 1
 	$(GO) test ./internal/stafilos/ -run xxx -bench BenchmarkSCWFPassthroughDelivery -benchmem -benchtime 2s -count 1
 	$(GO) test ./internal/director/ -run xxx -bench 'BenchmarkPipelineThroughput|BenchmarkRingReceiverPut' -benchmem -benchtime 2s -count 1
 	@n=0; until BENCH_GATE=1 $(GO) test ./internal/director/ -run TestPipelineThroughputGate -v -count 1; do \

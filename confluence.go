@@ -161,7 +161,8 @@ func NewMap(name string, f func(Value) Value) *actors.Func { return actors.NewMa
 // NewFilter builds a predicate actor.
 func NewFilter(name string, pred func(Value) bool) *actors.Func { return actors.NewFilter(name, pred) }
 
-// NewAggregate reduces each window to one token.
+// NewAggregate reduces each window to one token. agg borrows the window
+// as a NewSink callback does: it must not keep w or w.Events.
 func NewAggregate(name string, spec WindowSpec, agg func(w *Window) Value) *actors.Func {
 	return actors.NewAggregate(name, spec, agg)
 }
@@ -178,9 +179,10 @@ func NewShedder(name string, maxLag time.Duration) *actors.Shedder {
 	return actors.NewShedder(name, maxLag)
 }
 
-// NewSink consumes windows with a callback. The window and its events are
-// borrowed for the callback only: every director recycles them once the
-// firing is over, so copy out the tokens you keep.
+// NewSink consumes windows with a callback. The window, its Events slice
+// and its events are borrowed for the callback only: every director
+// recycles them once the firing is over — the next window reuses the shell
+// and its Events backing — so copy out the tokens you keep.
 func NewSink(name string, spec WindowSpec, fn func(ctx *FireContext, w *Window) error) *actors.Sink {
 	return actors.NewSink(name, spec, fn)
 }

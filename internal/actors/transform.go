@@ -7,9 +7,10 @@ import (
 )
 
 // Func is the general single-input, single-output actor: each firing hands
-// the consumed window and an emit callback to a user function. Most
-// workflow logic is expressed with Func or one of its specializations
-// below.
+// the consumed window and an emit callback to a user function, which
+// borrows the window, its Events slice and its events for the firing only
+// (see Sink). Most workflow logic is expressed with Func or one of its
+// specializations below.
 type Func struct {
 	model.Base
 	in, out *model.Port
@@ -87,8 +88,9 @@ func NewAggregate(name string, spec window.Spec, agg func(w *window.Window) valu
 
 // Sink consumes windows with a callback and produces nothing. The window
 // and its events are borrowed for the callback only: every director recycles
-// them once the firing is over, so a callback keeps tokens (as Collect
-// does), never the window or an event.
+// them once the firing is over, and the receiver builds its next windows
+// from the recycled shell and its Events backing, so a callback keeps tokens
+// (as Collect does), never the window, its Events slice or an event.
 type Sink struct {
 	model.Base
 	in *model.Port

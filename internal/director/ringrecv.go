@@ -109,17 +109,21 @@ func (r *RingReceiver) shell() *window.Window {
 	return w
 }
 
-// Recycle returns passthrough windows handed out by the previous
-// Get/GetBatch on this receiver: the consuming director calls it once the
-// firing batch has been broadcast, which is the recycle point of the event
-// ownership protocol — events still recyclable (never pinned) go back to
-// the pool, and the window shells return to the free-list. Recycling
-// windows that did not come from this receiver's Get/GetBatch is a
-// protocol violation. No-op on windowed edges.
+// Recycle takes back the windows handed out by the previous Get/GetBatch
+// on this receiver: the consuming director calls it once the firing batch
+// has been broadcast, which is the recycle point of the event ownership
+// protocol. Passthrough events still recyclable (never pinned) go back to
+// the pool and their shells to the fixed free-list; operator-built windows
+// go back to the inbox's free list with their member pointers cleared.
+// Recycling windows that did not come from this receiver's Get/GetBatch is
+// a protocol violation.
 //
 //confvet:hotpath
 func (r *RingReceiver) Recycle(ws []*window.Window) {
 	if !r.passthrough {
+		for _, w := range ws {
+			r.in.Recycle(w)
+		}
 		return
 	}
 	for _, w := range ws {

@@ -269,3 +269,72 @@ func TestSequentialPipelineSteadyStateAllocs(t *testing.T) {
 		t.Error("no events came back to the director's pool")
 	}
 }
+
+// TestWindowedDeliverySteadyStateAllocs is the windowed counterpart of the
+// pipeline gate (run by `make bench-gate`): keyed records fan out to a
+// group-by sliding tuple window and a group-by tumbling time window with a
+// formation timeout, under sinks that allocate nothing. Once every group
+// exists and the shell free lists are warm, the engine allocates at most
+// two objects per event. One of them is the source event itself: window
+// insertion pins it, so it never returns to the director's pool.
+func TestWindowedDeliverySteadyStateAllocs(t *testing.T) {
+	const keys, warm, measured, batch = 64, 20_000, 100_000, 64
+
+	base := time.Now().Add(-time.Hour)
+	// From its fourth event on, every event of a key closes one slide.
+	feed := make([]actors.Item, warm+measured+3*keys)
+	for i := range feed {
+		feed[i] = actors.Item{
+			Tok:  value.NewRecord("k", value.Int(int64(i%keys)), "v", value.Int(int64(i))),
+			Time: base.Add(time.Duration(i) * 20 * time.Microsecond),
+		}
+	}
+	wf := model.NewWorkflow("windowed")
+	src := actors.NewSource("src", actors.NewSliceFeed(feed), batch)
+	var slides, sum, members int64
+	slide := actors.NewSink("slide", window.Spec{Unit: window.Tuples, Size: 4, Step: 1, GroupBy: []string{"k"}},
+		func(_ *model.FireContext, w *window.Window) error {
+			slides++
+			for _, ev := range w.Events {
+				sum += ev.Token.(value.Record).Int("v")
+			}
+			return nil
+		})
+	tumble := actors.NewSink("tumble", window.Spec{Unit: window.Time, SizeDur: 100 * time.Millisecond,
+		StepDur: 100 * time.Millisecond, Timeout: 50 * time.Millisecond, GroupBy: []string{"k"}},
+		func(_ *model.FireContext, w *window.Window) error {
+			members += int64(w.Len())
+			return nil
+		})
+	wf.MustAdd(src, slide, tumble)
+	wf.MustConnect(src.Out(), slide.In())
+	wf.MustConnect(src.Out(), tumble.In())
+
+	d := stafilos.NewDirector(sched.NewQBS(500*time.Microsecond), stafilos.Options{SourceInterval: 5})
+	if err := d.Setup(wf); err != nil {
+		t.Fatal(err)
+	}
+	stepUntil := func(n int64) {
+		t.Helper()
+		for slides < n {
+			if _, err := d.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stepUntil(warm)
+	start := slides
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	stepUntil(warm + measured)
+	runtime.ReadMemStats(&m1)
+
+	perEvent := float64(m1.Mallocs-m0.Mallocs) / float64(slides-start)
+	t.Logf("%.4f allocs/event over %d events (%d tumbling-window members so far)", perEvent, slides-start, members)
+	if perEvent > 2 {
+		t.Errorf("windowed steady state allocates %.4f objects/event, want at most 2", perEvent)
+	}
+	if members == 0 || sum == 0 {
+		t.Errorf("sinks saw %d tumbling-window members and a slide sum of %d; want both > 0", members, sum)
+	}
+}

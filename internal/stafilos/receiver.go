@@ -13,10 +13,6 @@ import (
 	"repro/internal/window"
 )
 
-// tmShellCap sizes the passthrough window-shell free-list shared between
-// producers (Put) and the consuming worker (Recycle).
-const tmShellCap = 256
-
 // TMReceiver is the TM Windowed Receiver: the receiver the SCWF directors
 // install on every input port. It extends the Windowed Receiver of the
 // thread-based engine with the TM domain's scheduler interaction — when an
@@ -91,7 +87,7 @@ func NewTMReceiver(port *model.Port, clk clock.Clock, st *stats.Registry, enqueu
 		enqueue:     enqueue,
 	}
 	if r.passthrough {
-		r.shells = ring.NewMPMC[*window.Window](tmShellCap)
+		r.shells = ring.NewMPMC[*window.Window](window.ShellCap)
 	} else {
 		r.in.Init(port.Spec(), true, 0)
 	}
@@ -247,36 +243,45 @@ func (r *TMReceiver) handOff(ws []*window.Window, exp []*event.Event, now time.T
 	}
 	clear(ws)
 	r.dwins, r.ditems = ws[:0], items[:0]
-	r.draining.Store(false)
-	if r.expireTo != nil && len(exp) > 0 {
-		r.expireTo(exp)
+	if r.expireTo == nil || len(exp) == 0 {
+		r.draining.Store(false)
+		return
 	}
+	// exp is the operator's queue, which the next drainer reuses.
+	exp = append([]*event.Event(nil), exp...)
+	r.draining.Store(false)
+	r.expireTo(exp)
 }
 
-// Recycle returns a consumed passthrough window to the shell free-list and
-// its event — when still recyclable under the pinning protocol — to the
-// event pool. The consuming director calls it once per popped ReadyItem,
-// after the firing's emissions have been broadcast (the recycle point of
-// the ownership protocol). Recycling a window twice, or one not produced
-// by this receiver, is a protocol violation. No-op on windowed ports:
-// operator-built windows pinned their events at insert and their shells
-// are GC-managed.
+// Recycle takes back a window this receiver built. The consuming director
+// calls it once per popped ReadyItem, after the firing's emissions have
+// been broadcast (the recycle point of the ownership protocol), from
+// whichever goroutine ran the firing. A passthrough shell returns to the
+// shell free-list and its event — when still recyclable under the pinning
+// protocol — to the event pool; an operator-built window returns to the
+// inbox's free list with its member pointers cleared (its events were
+// pinned at insert and stay with the GC). Recycling a window twice, or one
+// not produced by this receiver, is a protocol violation.
 //
 //confvet:hotpath
 //confvet:noalloc
 func (r *TMReceiver) Recycle(w *window.Window) {
-	if !r.passthrough || w == nil || len(w.Events) != 1 {
+	if w == nil {
+		return
+	}
+	if !r.passthrough {
+		r.in.Recycle(w)
+		return
+	}
+	if len(w.Events) != 1 || w.Events[0] == nil {
 		return
 	}
 	ev := w.Events[0]
-	if ev == nil {
-		return
-	}
 	w.Events[0] = nil
 	if r.pool != nil {
 		r.pool.Release(ev)
 	}
-	r.shells.TryPush(w) //confvet:ignore — shell free-list: a surplus shell is left to the GC by design
+	window.PutShell(r.shells, w)
 }
 
 // Pending reports whether the receiver may still deliver work to the

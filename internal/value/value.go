@@ -127,17 +127,46 @@ type List []Value
 func (List) Kind() Kind { return KindList }
 
 // String implements Value.
-func (l List) String() string {
-	var b strings.Builder
-	b.WriteByte('[')
-	for i, v := range l {
-		if i > 0 {
-			b.WriteString(", ")
+func (l List) String() string { return string(Append(nil, l)) }
+
+// Append appends v's canonical textual form — exactly v.String() — to dst
+// and returns the extended buffer. Rendering into a reused buffer is what
+// keeps group-by key lookups on the window operator allocation-free.
+func Append(dst []byte, v Value) []byte {
+	switch v := v.(type) {
+	case Nil:
+		return append(dst, "nil"...)
+	case Bool:
+		return strconv.AppendBool(dst, bool(v))
+	case Int:
+		return strconv.AppendInt(dst, int64(v), 10)
+	case Float:
+		return strconv.AppendFloat(dst, float64(v), 'g', -1, 64)
+	case Str:
+		return strconv.AppendQuote(dst, string(v))
+	case List:
+		dst = append(dst, '[')
+		for i, e := range v {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = Append(dst, e)
 		}
-		b.WriteString(v.String())
+		return append(dst, ']')
+	case Record:
+		dst = append(dst, '{')
+		for i, name := range v.names {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = append(dst, name...)
+			dst = append(dst, ": "...)
+			dst = Append(dst, v.fields[name])
+		}
+		return append(dst, '}')
+	default:
+		return append(dst, v.String()...)
 	}
-	b.WriteByte(']')
-	return b.String()
 }
 
 // Equal implements Value.
@@ -170,7 +199,7 @@ func NewRecord(pairs ...any) Record {
 	if len(pairs)%2 != 0 {
 		panic("value.NewRecord: odd number of arguments")
 	}
-	r := Record{fields: make(map[string]Value, len(pairs)/2)}
+	r := Record{names: make([]string, 0, len(pairs)/2), fields: make(map[string]Value, len(pairs)/2)}
 	for i := 0; i < len(pairs); i += 2 {
 		name, ok := pairs[i].(string)
 		if !ok {
@@ -193,20 +222,7 @@ func NewRecord(pairs ...any) Record {
 func (Record) Kind() Kind { return KindRecord }
 
 // String implements Value.
-func (r Record) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, name := range r.names {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(name)
-		b.WriteString(": ")
-		b.WriteString(r.fields[name].String())
-	}
-	b.WriteByte('}')
-	return b.String()
-}
+func (r Record) String() string { return string(Append(nil, r)) }
 
 // Equal implements Value. Field order does not affect equality.
 func (r Record) Equal(v Value) bool {
@@ -321,15 +337,18 @@ func (r Record) Without(name string) Record {
 // Key builds a deterministic group-by key from the named fields. Missing
 // fields contribute the nil token. The key is stable across runs and field
 // orderings.
-func (r Record) Key(fields ...string) string {
-	var b strings.Builder
+func (r Record) Key(fields ...string) string { return string(r.AppendKey(nil, fields...)) }
+
+// AppendKey appends the group-by key Key builds to dst and returns the
+// extended buffer: the fields' values rendered by Append, joined by '|'.
+func (r Record) AppendKey(dst []byte, fields ...string) []byte {
 	for i, f := range fields {
 		if i > 0 {
-			b.WriteByte('|')
+			dst = append(dst, '|')
 		}
-		b.WriteString(r.Field(f).String())
+		dst = Append(dst, r.Field(f))
 	}
-	return b.String()
+	return dst
 }
 
 // SortedNames returns the field names sorted lexicographically. It is used

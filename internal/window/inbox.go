@@ -14,6 +14,10 @@ import (
 // batches of backlog before any mutex is touched.
 const InboxCap = 1024
 
+// ShellCap is the capacity of a receiver's window-shell free list: the
+// passthrough wrappers' and the operator's alike.
+const ShellCap = 256
+
 // Inbox is the ingestion core shared by every receiver that sits on a
 // workflow edge: the paper's Windowed Receiver without the notification.
 // Producers deliver through a bounded lock-free ring and never park; one
@@ -58,6 +62,11 @@ type Inbox struct {
 	pend     []*event.Event
 	pendHead int
 
+	// shells is the operator's window free list (MPMC: the consumer pops
+	// when it builds a window, whoever fired the window pushes it back at
+	// Recycle). Nil for passthrough specs.
+	shells *ring.MPMC[*Window]
+
 	arrivals    atomic.Int64 // events producers made visible
 	taken       atomic.Int64 // events the consumer popped
 	opPending   atomic.Int64 // events buffered inside the operator
@@ -82,7 +91,11 @@ func (in *Inbox) Init(spec Spec, multiProducer bool, capacity int) {
 	}
 	in.op = nil
 	if !spec.IsPassthrough() {
+		if in.shells == nil {
+			in.shells = ring.NewMPMC[*Window](ShellCap)
+		}
 		in.op = New(spec)
+		in.op.shells = in.shells
 	}
 }
 
@@ -180,7 +193,8 @@ func (in *Inbox) takeOverflow() (*event.Event, bool) {
 // Ingest feeds up to max raw events through the window operator at clock
 // time now. It returns buf with the produced windows appended, and the
 // events that expired (they can no longer contribute to any window; the
-// caller routes or drops them). Consumer only, windowed specs only.
+// caller routes or drops them before the next Ingest or Force, which reuse
+// the slice). Consumer only, windowed specs only.
 //
 //confvet:hotpath
 func (in *Inbox) Ingest(now time.Time, max int, buf []*Window) ([]*Window, []*event.Event) {
@@ -200,8 +214,8 @@ func (in *Inbox) Ingest(now time.Time, max int, buf []*Window) ([]*Window, []*ev
 }
 
 // Force appends to buf the windows whose formation timeout has passed at
-// clock time now, and returns the events that expired with them. Consumer
-// only, windowed specs only.
+// clock time now, and returns the events that expired with them (valid as
+// Ingest's are). Consumer only, windowed specs only.
 func (in *Inbox) Force(now time.Time, buf []*Window) ([]*Window, []*event.Event) {
 	buf = append(buf, in.op.OnTime(now)...)
 	in.publishOp()
@@ -245,6 +259,31 @@ func (in *Inbox) NextDeadline() (time.Time, bool) {
 		return time.Time{}, false
 	}
 	return time.Unix(0, ns), true
+}
+
+// Recycle takes back a window the operator produced, once its firing is
+// over (the receiver's recycle point): the member pointers are cleared —
+// the events were pinned at insert and stay with the GC — and the shell,
+// with its Events backing, goes to the free list the operator builds its
+// next windows from. Recycling a window twice, or one this inbox did not
+// produce, is a protocol violation. Windowed specs only; safe from any
+// goroutine.
+//
+//confvet:hotpath
+//confvet:noalloc
+func (in *Inbox) Recycle(w *Window) {
+	clear(w.Events)
+	w.Events = w.Events[:0]
+	PutShell(in.shells, w)
+}
+
+// PutShell returns a consumed window shell to a receiver's free list. A
+// full list leaves the surplus shell to the GC.
+//
+//confvet:hotpath
+//confvet:noalloc
+func PutShell(free *ring.MPMC[*Window], w *Window) {
+	free.TryPush(w) //confvet:ignore — shell free-list: a surplus shell is left to the GC by design
 }
 
 // Wrap turns one passthrough event into a single-event window, reusing

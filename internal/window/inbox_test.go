@@ -196,3 +196,47 @@ func TestInboxIngestAndForce(t *testing.T) {
 		t.Fatalf("after force: deadline pending=%v Depth=%d, want none", ok, in.Depth())
 	}
 }
+
+// TestInboxRecycledShellIsReused fires a window, recycles it, and checks
+// that the next window the operator builds is the same shell holding only
+// its own members, and that a shell waiting on the free list holds no event
+// pointers.
+func TestInboxRecycledShellIsReused(t *testing.T) {
+	var in Inbox
+	in.Init(Continuous(3), false, 0)
+	tk := event.NewTimekeeper()
+	push := func(from, to int) {
+		for i := from; i < to; i++ {
+			in.Push(tk.External(value.Int(int64(i)), ts(float64(i))))
+		}
+	}
+	push(0, 3)
+	ws, _ := in.Ingest(ts(3), 100, nil)
+	if len(ws) != 1 || !eqInts(ints(ws[0]), []int64{0, 1, 2}) {
+		t.Fatalf("first windows = %v", ws)
+	}
+	first := ws[0]
+	in.Recycle(first)
+	if first.Len() != 0 {
+		t.Fatalf("recycled shell keeps %d members", first.Len())
+	}
+	for i, ev := range first.Events[:cap(first.Events)] {
+		if ev != nil {
+			t.Fatalf("recycled shell keeps a stale event pointer in slot %d", i)
+		}
+	}
+
+	push(3, 5)
+	ws, _ = in.Ingest(ts(5), 100, ws[:0])
+	if len(ws) != 0 {
+		t.Fatalf("two events formed windows %v", ws)
+	}
+	push(5, 6)
+	ws, _ = in.Ingest(ts(6), 100, ws[:0])
+	if len(ws) != 1 || ws[0] != first {
+		t.Fatalf("second window is not the recycled shell: %v", ws)
+	}
+	if w := ws[0]; !eqInts(ints(w), []int64{3, 4, 5}) || w.Partial || !w.Time.Equal(ts(5)) {
+		t.Errorf("reused shell = %v (partial %v, time %v), want members [3 4 5] at t=5", ints(w), w.Partial, w.Time)
+	}
+}

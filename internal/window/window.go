@@ -17,12 +17,12 @@
 package window
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/event"
+	"repro/internal/ring"
 	"repro/internal/value"
 )
 
@@ -237,8 +237,11 @@ type group struct {
 	// wave ordinal.
 	winStart time.Time
 	timeInit bool
-	// deadline is the pending formation-timeout deadline (zero if none).
+	// deadline is the pending formation-timeout deadline (zero if none);
+	// hpos is the group's position in the operator's deadline heap plus
+	// one, 0 while it has no deadline.
 	deadline time.Time
+	hpos     int
 	// waves tracks distinct wave roots seen, in order (wave windows).
 	waves []event.WaveTag
 	// firstPendingAt is the clock time the oldest pending tuple event was
@@ -251,38 +254,108 @@ type group struct {
 type Operator struct {
 	spec    Spec
 	groups  map[string]*group
-	order   []string // group keys in first-seen order, for determinism
 	expired []*event.Event
+	// drained is how much of expired's backing the last DrainExpired handed
+	// out; the next Put or OnTime clears it before reusing the backing.
+	drained int
 	// pending counts retained (unexpired) events across all groups,
 	// maintained incrementally at the insert/expire sites so Pending is
 	// O(1) — consumers poll it per drain, and a scan over every group-by
 	// partition there turns ingestion quadratic in the partition count.
 	pending int
-	// deadlines is a lazy min-heap over group timeout deadlines: entries
-	// are pushed on every deadline change and validated against the
-	// group's current deadline when popped, so NextDeadline is O(log n)
-	// instead of a scan over every group-by partition.
+	// deadlines orders the groups with a pending formation timeout, so
+	// NextDeadline is O(1) instead of a scan over every group-by partition.
 	deadlines deadlineHeap
+	// key is the buffer each event's group-by key is rendered into.
+	// Indexing groups with string(key) does not allocate, so a key string
+	// is built only when its group is created.
+	key []byte
+	// out is the slice Put and OnTime return, reused by the next call.
+	out []*Window
+	// shells, when set, is the free list produced windows draw their shell
+	// and Events backing from; the receiver that owns the operator refills
+	// it at its recycle point. Without one every window is allocated.
+	shells *ring.MPMC[*Window]
 }
 
-// deadlineEntry is one (possibly stale) group deadline.
-type deadlineEntry struct {
-	at time.Time
-	g  *group
+// deadlineHeap is a min-heap of groups ordered by formation-timeout
+// deadline, indexed by group: each group records its own position (hpos),
+// so a changed deadline is fixed in place and a group holds at most one
+// entry — no interface boxing, no stale entries to skip. It reads and
+// writes nothing of a group but deadline and hpos.
+type deadlineHeap []*group
+
+// set changes g's deadline to at, a zero time clearing it. An unchanged
+// deadline costs one comparison.
+func (h *deadlineHeap) set(g *group, at time.Time) {
+	if at.Equal(g.deadline) {
+		return
+	}
+	g.deadline = at
+	switch {
+	case at.IsZero():
+		h.remove(g.hpos - 1)
+	case g.hpos == 0:
+		*h = append(*h, g)
+		g.hpos = len(*h)
+		h.up(len(*h) - 1)
+	default:
+		if i := g.hpos - 1; !h.down(i) {
+			h.up(i)
+		}
+	}
 }
 
-type deadlineHeap []deadlineEntry
+func (h deadlineHeap) less(i, j int) bool { return h[i].deadline.Before(h[j].deadline) }
 
-func (h deadlineHeap) Len() int           { return len(h) }
-func (h deadlineHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
-func (h deadlineHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *deadlineHeap) Push(x any)        { *h = append(*h, x.(deadlineEntry)) }
-func (h *deadlineHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+func (h deadlineHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].hpos, h[j].hpos = i+1, j+1
+}
+
+func (h deadlineHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts entry i towards the leaves and reports whether it moved.
+func (h deadlineHeap) down(i0 int) bool {
+	i, n := i0, len(h)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (h *deadlineHeap) remove(i int) {
+	last := len(*h) - 1
+	if i != last {
+		h.swap(i, last)
+	}
+	g := (*h)[last]
+	(*h)[last] = nil
+	*h = (*h)[:last]
+	g.hpos = 0
+	if i != last && !h.down(i) {
+		h.up(i)
+	}
 }
 
 // New returns an operator for the given spec. It panics if the spec is
@@ -298,78 +371,76 @@ func New(spec Spec) *Operator {
 func (o *Operator) Spec() Spec { return o.spec }
 
 // Put inserts one event at clock time now and returns any windows that
-// became ready, in production order. Insertion pins ev: a windowed event
+// became ready, in production order. The returned slice belongs to the
+// operator and is valid until the next Put or OnTime: callers that keep
+// the windows copy the pointers out. Insertion pins ev: a windowed event
 // outlives its edge (it may appear in several sliding windows), so it
 // leaves the recycling protocol here.
 //
 //confvet:pins ev
 func (o *Operator) Put(ev *event.Event, now time.Time) []*Window {
-	g := o.group(groupKey(o.spec.GroupBy, ev))
+	g := o.group(ev)
+	out := o.begin()
 	switch o.spec.Unit {
 	case Tuples:
-		return o.putTuple(g, ev, now)
+		out = o.putTuple(g, ev, now, out)
 	case Time:
-		return o.putTime(g, ev, now)
+		out = o.putTime(g, ev, now, out)
 	default:
-		return o.putWave(g, ev, now)
+		out = o.putWave(g, ev, now, out)
 	}
+	o.out = out
+	return out
 }
 
 // OnTime advances the operator to clock time now, forcing out any windows
-// whose formation timeout has passed.
+// whose formation timeout has passed. The returned slice is reused like
+// Put's.
 func (o *Operator) OnTime(now time.Time) []*Window {
-	if o.spec.Timeout <= 0 {
-		return nil
-	}
-	var out []*Window
-	for len(o.deadlines) > 0 {
-		e := o.deadlines[0]
-		if e.g.deadline.IsZero() || !e.g.deadline.Equal(e.at) {
-			heap.Pop(&o.deadlines) // stale entry
-			continue
-		}
-		if e.at.After(now) {
-			break
-		}
-		heap.Pop(&o.deadlines)
-		for !e.g.deadline.IsZero() && !e.g.deadline.After(now) {
-			w := o.forceWindow(e.g, now)
+	out := o.begin()
+	for len(o.deadlines) > 0 && !o.deadlines[0].deadline.After(now) {
+		// Force everything due in the soonest group before the next one;
+		// forceWindow clears the deadline whenever it produces nothing.
+		g := o.deadlines[0]
+		for !g.deadline.IsZero() && !g.deadline.After(now) {
+			w := o.forceWindow(g, now)
 			if w == nil {
 				break
 			}
 			out = append(out, w)
 		}
 	}
+	o.out = out
 	return out
+}
+
+// begin starts a Put or OnTime call: it empties the returned-window slice
+// and the part of the expired queue's backing that DrainExpired handed out,
+// so neither keeps pointers the caller has finished with.
+func (o *Operator) begin() []*Window {
+	clear(o.out)
+	if o.drained > 0 {
+		clear(o.expired[:o.drained])
+		o.drained = 0
+	}
+	return o.out[:0]
 }
 
 // NextDeadline reports the earliest pending formation-timeout deadline
 // across all groups.
 func (o *Operator) NextDeadline() (time.Time, bool) {
-	for len(o.deadlines) > 0 {
-		e := o.deadlines[0]
-		if e.g.deadline.IsZero() || !e.g.deadline.Equal(e.at) {
-			heap.Pop(&o.deadlines) // stale entry
-			continue
-		}
-		return e.at, true
+	if len(o.deadlines) == 0 {
+		return time.Time{}, false
 	}
-	return time.Time{}, false
+	return o.deadlines[0].deadline, true
 }
 
-// setDeadline records a group's formation-timeout deadline, keeping the
-// lazy heap in sync. A zero time clears the deadline.
-func (o *Operator) setDeadline(g *group, at time.Time) {
-	g.deadline = at
-	if !at.IsZero() {
-		heap.Push(&o.deadlines, deadlineEntry{at: at, g: g})
-	}
-}
-
-// DrainExpired returns and clears the expired-items queue.
+// DrainExpired returns and clears the expired-items queue. The returned
+// slice is valid until the next Put or OnTime, which reuse its backing.
 func (o *Operator) DrainExpired() []*event.Event {
 	out := o.expired
-	o.expired = nil
+	o.expired = o.expired[:0]
+	o.drained = max(o.drained, len(out))
 	return out
 }
 
@@ -390,27 +461,48 @@ func (o *Operator) recountPending() int {
 // Groups returns the number of group-by partitions seen so far.
 func (o *Operator) Groups() int { return len(o.groups) }
 
-func (o *Operator) group(key string) *group {
-	g, ok := o.groups[key]
-	if !ok {
-		g = &group{key: key}
-		o.groups[key] = g
-		o.order = append(o.order, key)
+// group returns ev's group-by partition, creating it on first sight.
+func (o *Operator) group(ev *event.Event) *group {
+	o.key = appendGroupKey(o.key[:0], o.spec.GroupBy, ev)
+	if g, ok := o.groups[string(o.key)]; ok {
+		return g
 	}
+	g := &group{key: string(o.key)}
+	o.groups[g.key] = g
 	return g
 }
 
-// groupKey computes the group-by key for an event.
-func groupKey(fields []string, ev *event.Event) string {
+// appendGroupKey appends the group-by key of ev to dst: the record's Key
+// over fields, or — when grouping is requested on a non-record token — the
+// token's rendered value. Ungrouped operators use the empty key.
+func appendGroupKey(dst []byte, fields []string, ev *event.Event) []byte {
 	if len(fields) == 0 {
-		return ""
+		return dst
 	}
 	if r, ok := ev.Token.(value.Record); ok {
-		return r.Key(fields...)
+		return r.AppendKey(dst, fields...)
 	}
-	// Non-record tokens group by their rendered value when grouping is
-	// requested on the whole token.
-	return ev.Token.String()
+	return value.Append(dst, ev.Token)
+}
+
+// newWindow returns an empty window of g: a recycled shell, keeping its
+// Events backing, when the free list has one, else a fresh allocation.
+func (o *Operator) newWindow(g *group) *Window {
+	if o.shells != nil {
+		if w, ok := o.shells.TryPop(); ok {
+			*w = Window{Group: g.key, Events: w.Events[:0]}
+			return w
+		}
+	}
+	return &Window{Group: g.key}
+}
+
+// compact drops the first n elements of s in place, clearing the vacated
+// tail so the backing array keeps no stale references.
+func compact[T any](s []T, n int) []T {
+	m := copy(s, s[n:])
+	clear(s[m:])
+	return s[:m]
 }
 
 // insert appends ev keeping the per-group queue ordered by event Compare.
@@ -434,16 +526,15 @@ func (o *Operator) insert(g *group, ev *event.Event) {
 
 // --- tuple windows ---
 
-func (o *Operator) putTuple(g *group, ev *event.Event, now time.Time) []*Window {
+func (o *Operator) putTuple(g *group, ev *event.Event, now time.Time, out []*Window) []*Window {
 	o.insert(g, ev)
 	if !g.hasPending {
 		g.hasPending = true
 		g.firstPendingAt = now
 		if o.spec.Timeout > 0 {
-			o.setDeadline(g, now.Add(o.spec.Timeout))
+			o.deadlines.set(g, now.Add(o.spec.Timeout))
 		}
 	}
-	var out []*Window
 	for {
 		total := g.base + int64(len(g.events))
 		if total < g.nextStart+int64(o.spec.Size) {
@@ -465,7 +556,8 @@ func (o *Operator) produceTuple(g *group, end int64, partial bool, now time.Time
 	if hi > len(g.events) {
 		hi = len(g.events)
 	}
-	w := &Window{Group: g.key, Partial: partial}
+	w := o.newWindow(g)
+	w.Partial = partial
 	w.Events = append(w.Events, g.events[lo:hi]...)
 	w.finalize()
 
@@ -488,18 +580,18 @@ func (o *Operator) produceTuple(g *group, end int64, partial bool, now time.Time
 	}
 	if drop > 0 {
 		o.expired = append(o.expired, g.events[:drop]...)
-		g.events = append([]*event.Event(nil), g.events[drop:]...)
+		g.events = compact(g.events, drop)
 		g.base += int64(drop)
 		o.pending -= drop
 	}
 	// Refresh the pending-timeout state.
 	if len(g.events) == 0 || g.base+int64(len(g.events)) <= g.nextStart {
 		g.hasPending = false
-		o.setDeadline(g, time.Time{})
+		o.deadlines.set(g, time.Time{})
 	} else {
 		g.firstPendingAt = now
 		if o.spec.Timeout > 0 {
-			o.setDeadline(g, now.Add(o.spec.Timeout))
+			o.deadlines.set(g, now.Add(o.spec.Timeout))
 		}
 	}
 	return w
@@ -518,7 +610,7 @@ func alignDown(t time.Time, step time.Duration) time.Time {
 	return time.Unix(0, aligned).UTC()
 }
 
-func (o *Operator) putTime(g *group, ev *event.Event, now time.Time) []*Window {
+func (o *Operator) putTime(g *group, ev *event.Event, now time.Time, out []*Window) []*Window {
 	o.insert(g, ev)
 	if !g.timeInit {
 		g.timeInit = true
@@ -527,12 +619,11 @@ func (o *Operator) putTime(g *group, ev *event.Event, now time.Time) []*Window {
 		s := alignDown(ev.Time.Add(-o.spec.SizeDur), o.spec.StepDur).Add(o.spec.StepDur)
 		g.winStart = s
 	}
-	var out []*Window
 	// Close every window whose end is at or before the new event's time:
 	// with in-order streams no more members can arrive for them. Windows
 	// that turn out empty advance the window state but are not emitted.
 	for !ev.Time.Before(g.winStart.Add(o.spec.SizeDur)) {
-		if w := o.produceTime(g, false); w.Len() > 0 {
+		if w := o.produceTime(g, false); w != nil {
 			out = append(out, w)
 		}
 		if !g.timeInit {
@@ -543,21 +634,32 @@ func (o *Operator) putTime(g *group, ev *event.Event, now time.Time) []*Window {
 		}
 	}
 	if o.spec.Timeout > 0 {
-		o.setDeadline(g, maxTime(now, g.winStart.Add(o.spec.SizeDur)).Add(o.spec.Timeout))
+		o.deadlines.set(g, maxTime(now, g.winStart.Add(o.spec.SizeDur)).Add(o.spec.Timeout))
 	}
 	return out
 }
 
-// produceTime emits the time window [winStart, winStart+Size).
-func (o *Operator) produceTime(g *group, partial bool) *Window {
+// produceTime closes the time window [winStart, winStart+Size) and returns
+// it; an empty one is returned only when emitEmpty is set, and otherwise
+// takes no window at all.
+func (o *Operator) produceTime(g *group, emitEmpty bool) *Window {
 	start, end := g.winStart, g.winStart.Add(o.spec.SizeDur)
-	w := &Window{Group: g.key, Start: start, End: end, Partial: partial}
+	var w *Window
 	for _, ev := range g.events {
 		if !ev.Time.Before(start) && ev.Time.Before(end) {
+			if w == nil {
+				w = o.newWindow(g)
+			}
 			w.Events = append(w.Events, ev)
 		}
 	}
-	w.finalize()
+	if w == nil && emitEmpty {
+		w = o.newWindow(g)
+	}
+	if w != nil {
+		w.Start, w.End = start, end
+		w.finalize()
+	}
 
 	g.winStart = g.winStart.Add(o.spec.StepDur)
 	// Expire events that precede every future window — or, with
@@ -581,9 +683,10 @@ func (o *Operator) produceTime(g *group, partial bool) *Window {
 			keep = append(keep, ev)
 		}
 	}
+	clear(g.events[len(keep):])
 	g.events = keep
 	if len(g.events) == 0 {
-		o.setDeadline(g, time.Time{})
+		o.deadlines.set(g, time.Time{})
 		g.timeInit = false
 	}
 	return w
@@ -591,15 +694,14 @@ func (o *Operator) produceTime(g *group, partial bool) *Window {
 
 // --- wave windows ---
 
-func (o *Operator) putWave(g *group, ev *event.Event, now time.Time) []*Window {
+func (o *Operator) putWave(g *group, ev *event.Event, now time.Time, out []*Window) []*Window {
 	o.insert(g, ev)
 	if !containsWave(g.waves, ev.Wave) {
 		g.waves = append(g.waves, ev.Wave)
 	}
 	if o.spec.Timeout > 0 {
-		o.setDeadline(g, now.Add(o.spec.Timeout))
+		o.deadlines.set(g, now.Add(o.spec.Timeout))
 	}
-	var out []*Window
 	// A window of Size waves closes when events from at least Size+1
 	// distinct waves have been seen: the newer wave punctuates the old.
 	for len(g.waves) > o.spec.Size {
@@ -624,7 +726,8 @@ func (o *Operator) produceWave(g *group, partial bool) *Window {
 		n = len(g.waves)
 	}
 	member := g.waves[:n]
-	w := &Window{Group: g.key, Partial: partial}
+	w := o.newWindow(g)
+	w.Partial = partial
 	for _, ev := range g.events {
 		if containsWave(member, ev.Wave) {
 			w.Events = append(w.Events, ev)
@@ -640,7 +743,6 @@ func (o *Operator) produceWave(g *group, partial bool) *Window {
 		step = len(g.waves)
 	}
 	dropped := g.waves[:step]
-	g.waves = append([]event.WaveTag(nil), g.waves[step:]...)
 	keep := g.events[:0]
 	for _, ev := range g.events {
 		if containsWave(dropped, ev.Wave) {
@@ -650,9 +752,11 @@ func (o *Operator) produceWave(g *group, partial bool) *Window {
 			keep = append(keep, ev)
 		}
 	}
+	clear(g.events[len(keep):])
 	g.events = keep
+	g.waves = compact(g.waves, step)
 	if len(g.events) == 0 {
-		o.setDeadline(g, time.Time{})
+		o.deadlines.set(g, time.Time{})
 	}
 	return w
 }
@@ -663,7 +767,7 @@ func (o *Operator) forceWindow(g *group, now time.Time) *Window {
 	switch o.spec.Unit {
 	case Tuples:
 		if !g.hasPending {
-			o.setDeadline(g, time.Time{})
+			o.deadlines.set(g, time.Time{})
 			return nil
 		}
 		end := g.base + int64(len(g.events))
@@ -671,34 +775,34 @@ func (o *Operator) forceWindow(g *group, now time.Time) *Window {
 			end = max
 		}
 		if end <= g.nextStart {
-			o.setDeadline(g, time.Time{})
+			o.deadlines.set(g, time.Time{})
 			g.hasPending = false
 			return nil
 		}
 		return o.produceTuple(g, end, end < g.nextStart+int64(o.spec.Size), now)
 	case Time:
 		if len(g.events) == 0 {
-			o.setDeadline(g, time.Time{})
+			o.deadlines.set(g, time.Time{})
 			return nil
 		}
 		// The deadline is max(now, window end)+timeout, so by the time it
 		// fires the window's period has fully elapsed: the window is
 		// complete, just closed by a timer instead of a successor event.
-		w := o.produceTime(g, false)
+		w := o.produceTime(g, true)
 		if o.spec.Timeout > 0 && len(g.events) > 0 {
-			o.setDeadline(g, maxTime(now, g.winStart.Add(o.spec.SizeDur)).Add(o.spec.Timeout))
+			o.deadlines.set(g, maxTime(now, g.winStart.Add(o.spec.SizeDur)).Add(o.spec.Timeout))
 		}
 		return w
 	default:
 		if len(g.waves) == 0 {
-			o.setDeadline(g, time.Time{})
+			o.deadlines.set(g, time.Time{})
 			return nil
 		}
 		w := o.produceWave(g, len(g.waves) < o.spec.Size)
 		if len(g.waves) == 0 {
-			o.setDeadline(g, time.Time{})
+			o.deadlines.set(g, time.Time{})
 		} else {
-			o.setDeadline(g, now.Add(o.spec.Timeout))
+			o.deadlines.set(g, now.Add(o.spec.Timeout))
 		}
 		return w
 	}

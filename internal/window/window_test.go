@@ -2,6 +2,7 @@ package window
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -658,5 +659,100 @@ func TestPendingCounterMatchesRecount(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGroupKeyMatchesRecordKey pins the operator's group-by key, rendered
+// into a reused buffer, to Record.Key (and, for a non-record token, to its
+// String) byte for byte, so Window.Group keeps its exact form.
+func TestGroupKeyMatchesRecordKey(t *testing.T) {
+	nested := value.NewRecord("b", value.Int(2), "c", value.List{value.Bool(false)})
+	cases := []struct {
+		name   string
+		tok    value.Value
+		fields []string
+		want   string
+	}{
+		{"negative int", value.NewRecord("a", value.Int(-7)), []string{"a"}, "-7"},
+		{"int above 255", value.NewRecord("a", value.Int(1000)), []string{"a"}, "1000"},
+		{"NaN", value.NewRecord("a", value.Float(math.NaN())), []string{"a"}, "NaN"},
+		{"negative zero", value.NewRecord("a", value.Float(math.Copysign(0, -1))), []string{"a"}, "-0"},
+		{"1e21", value.NewRecord("a", value.Float(1e21)), []string{"a"}, "1e+21"},
+		{"0.1", value.NewRecord("a", value.Float(0.1)), []string{"a"}, "0.1"},
+		{"quoted non-ASCII", value.NewRecord("a", value.Str("say \"hé\"\n")), []string{"a"}, `"say \"hé\"\n"`},
+		{"bool", value.NewRecord("a", value.Bool(true)), []string{"a"}, "true"},
+		{"missing field", value.NewRecord("a", value.Int(1)), []string{"z"}, "nil"},
+		{"list", value.NewRecord("a", value.List{value.Int(1), value.Str("x")}), []string{"a"}, `[1, "x"]`},
+		{"nested record", value.NewRecord("a", nested), []string{"a"}, "{b: 2, c: [false]}"},
+		{"multi-field", value.NewRecord("a", value.Int(1), "b", value.Str("x")), []string{"a", "b"}, `1|"x"`},
+		{"non-record token", value.Str("q"), []string{"a"}, `"q"`},
+	}
+	tk := event.NewTimekeeper()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ref := c.tok.String()
+			if r, ok := c.tok.(value.Record); ok {
+				ref = r.Key(c.fields...)
+			}
+			if ref != c.want {
+				t.Errorf("reference key = %q, want %q", ref, c.want)
+			}
+			if got := string(appendGroupKey([]byte("stale"), c.fields, tk.External(c.tok, ts(0)))); got != "stale"+c.want {
+				t.Errorf("rendered key = %q, want %q", got, "stale"+c.want)
+			}
+			o := New(Spec{Unit: Tuples, Size: 1, Step: 1, GroupBy: c.fields})
+			ws := o.Put(tk.External(c.tok, ts(0)), ts(0))
+			if len(ws) != 1 || ws[0].Group != c.want {
+				t.Fatalf("operator windows = %v, want one with Group %q", ws, c.want)
+			}
+		})
+	}
+}
+
+// TestDeadlineHeapHoldsOneEntryPerGroup drives 100k events through grouped
+// time windows with formation timeouts and checks that the deadline heap
+// never holds more than one entry per group, each at the position its group
+// records, in heap order.
+func TestDeadlineHeapHoldsOneEntryPerGroup(t *testing.T) {
+	const keys, events = 50, 100_000
+	o := New(Spec{Unit: Time, SizeDur: time.Second, StepDur: time.Second, Timeout: 300 * time.Millisecond,
+		GroupBy: []string{"k"}})
+	tk := event.NewTimekeeper()
+	recs := make([]value.Value, keys)
+	for k := range recs {
+		recs[k] = value.NewRecord("k", value.Int(int64(k)))
+	}
+	check := func(i int) {
+		t.Helper()
+		if len(o.deadlines) > o.Groups() {
+			t.Fatalf("after %d events the heap holds %d entries for %d groups", i, len(o.deadlines), o.Groups())
+		}
+		for j, g := range o.deadlines {
+			if g.hpos != j+1 || g.deadline.IsZero() {
+				t.Fatalf("after %d events entry %d has hpos %d, deadline %v", i, j, g.hpos, g.deadline)
+			}
+			if j > 0 && g.deadline.Before(o.deadlines[(j-1)/2].deadline) {
+				t.Fatalf("after %d events entry %d precedes its parent", i, j)
+			}
+		}
+	}
+	forced := 0
+	for i := 0; i < events; i++ {
+		// Keys go quiet in turn, so timeouts fire while others stay busy.
+		k := (i * 7) % keys
+		if (i/5000)%keys == k {
+			continue
+		}
+		now := ts(float64(i) / 1000)
+		o.Put(tk.External(recs[k], now), now)
+		if i%97 == 0 {
+			forced += len(o.OnTime(now))
+			o.DrainExpired()
+			check(i)
+		}
+	}
+	check(events)
+	if forced == 0 || len(o.deadlines) == 0 {
+		t.Fatalf("%d windows forced by a timeout, %d deadlines pending at the end; want both > 0", forced, len(o.deadlines))
 	}
 }
