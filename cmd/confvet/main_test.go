@@ -124,8 +124,8 @@ func TestJSONEmptyArray(t *testing.T) {
 	}
 }
 
-// TestListIncludesDataflowTier pins that the catalogue names all three
-// dataflow analyzers.
+// TestListIncludesDataflowTier pins the catalogue: it names all three
+// dataflow analyzers, and lifecycle lists the one rule it enforces.
 func TestListIncludesDataflowTier(t *testing.T) {
 	out := capture(t, func() {
 		if code := run([]string{"-list"}); code != 0 {
@@ -136,5 +136,8 @@ func TestListIncludesDataflowTier(t *testing.T) {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
 		}
+	}
+	if want := "lifecycle  Fire must not call Initialize/Wrapup\n"; !strings.Contains(out, want) {
+		t.Errorf("-list output missing %q:\n%s", want, out)
 	}
 }

@@ -135,12 +135,6 @@ func NewHTTPSource(name, url string, parse LineParser) *NetSource {
 	}, parse)
 }
 
-// NewReaderSource builds a source over an already-open stream; tests use it
-// with net.Pipe or in-memory readers.
-func NewReaderSource(name string, rc io.ReadCloser, parse LineParser) *NetSource {
-	return newNetSource(name, func() (io.ReadCloser, error) { return rc, nil }, parse)
-}
-
 // Initialize implements model.Actor: connect and start the reader
 // goroutine that fills the feed as the external source pushes data.
 func (s *NetSource) Initialize(ctx *model.FireContext) error {

@@ -15,8 +15,7 @@
 //   - noalloc: functions tagged //confvet:noalloc must not contain
 //     allocating constructs (escaping composite literals, make/new/append,
 //     string concatenation, closures, interface boxing).
-//   - lifecycle: an actor's Fire must not call Initialize/Wrapup and must
-//     not mutate fields declared postfire-owned via //confvet:postfire.
+//   - lifecycle: an actor's Fire must not call Initialize/Wrapup.
 //
 // The dataflow tier (cfg.go, dataflow.go) adds three flow-sensitive
 // analyzers on a per-function CFG and annotation-driven call summaries:
@@ -37,7 +36,6 @@
 //
 //	//confvet:hotpath            (func doc)  function is on the hot path
 //	//confvet:noalloc            (func doc)  function must not allocate
-//	//confvet:postfire           (field doc) field is mutated only in Postfire
 //	//confvet:ignore             (same line) suppress diagnostics on this line
 //	//confvet:returns-poolable   (func doc)  first result is a pooled value
 //	                             the caller now owns
@@ -237,10 +235,9 @@ func ignoreLines(pkgs []*Package) map[fileLine]bool {
 
 // Directive names.
 const (
-	directiveHotPath  = "confvet:hotpath"
-	directiveNoAlloc  = "confvet:noalloc"
-	directivePostfire = "confvet:postfire"
-	directiveIgnore   = "confvet:ignore"
+	directiveHotPath = "confvet:hotpath"
+	directiveNoAlloc = "confvet:noalloc"
+	directiveIgnore  = "confvet:ignore"
 )
 
 // hasDirective reports whether the comment group carries the given

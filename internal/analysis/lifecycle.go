@@ -7,90 +7,47 @@ import (
 
 // LifecycleAnalyzer enforces the actor lifecycle contract: Fire is the
 // steady-state phase and must not re-enter setup or teardown — it may not
-// call Initialize or Wrapup — and must not mutate fields the author declared
-// postfire-owned via //confvet:postfire (those belong to the commit phase
-// that runs after the director accepts the firing's emissions).
+// call Initialize or Wrapup.
 var LifecycleAnalyzer = &Analyzer{
 	Name: "lifecycle",
-	Doc:  "Fire must not call Initialize/Wrapup nor mutate //confvet:postfire fields",
+	Doc:  "Fire must not call Initialize/Wrapup",
 	Mode: PerPackage,
 	Run:  runLifecycle,
 }
 
 func runLifecycle(pass *Pass) error {
 	for _, pkg := range pass.Pkgs {
-		postfire := postfireFields(pkg)
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil || fd.Recv == nil || fd.Name.Name != "Fire" {
 					continue
 				}
-				checkFire(pass, pkg.Info, fd, postfire)
+				checkFire(pass, pkg.Info, fd)
 			}
 		}
 	}
 	return nil
 }
 
-// postfireFields collects every struct field in the package whose doc or
-// trailing comment carries //confvet:postfire.
-func postfireFields(pkg *Package) map[*types.Var]bool {
-	out := map[*types.Var]bool{}
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				if !hasDirective(field.Doc, directivePostfire) && !hasDirective(field.Comment, directivePostfire) {
-					continue
-				}
-				for _, name := range field.Names {
-					if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
-						out[v] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return out
-}
-
-func checkFire(pass *Pass, info *types.Info, fd *ast.FuncDecl, postfire map[*types.Var]bool) {
-	reportMutation := func(sel *ast.SelectorExpr, verb string) {
-		if v := fieldOf(info, sel); v != nil && postfire[v] {
-			pass.Reportf(sel.Pos(), "Fire %s postfire-owned field %s; mutate it in Postfire", verb, fieldDisplay(v))
-		}
-	}
+func checkFire(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			name := sel.Sel.Name
-			if name != "Initialize" && name != "Wrapup" {
-				return true
-			}
-			// Only flag method calls (lifecycle entry points live on actors);
-			// a free function that happens to share the name is fine.
-			if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-				pass.Reportf(n.Pos(), "Fire calls %s; lifecycle phases are driven by the director, not the firing", name)
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
-					reportMutation(sel, "assigns")
-				}
-			}
-		case *ast.IncDecStmt:
-			if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
-				reportMutation(sel, "mutates")
-			}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		name := sel.Sel.Name
+		if name != "Initialize" && name != "Wrapup" {
+			return true
+		}
+		// Only flag method calls (lifecycle entry points live on actors);
+		// a free function that happens to share the name is fine.
+		if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal {
+			pass.Reportf(call.Pos(), "Fire calls %s; lifecycle phases are driven by the director, not the firing", name)
 		}
 		return true
 	})

@@ -1,25 +1,15 @@
-// Fixture for the lifecycle analyzer: Fire re-enters Initialize and mutates
-// a postfire-owned field; Postfire mutating the same field is fine, as is a
-// free function that happens to be named Initialize.
+// Fixture for the lifecycle analyzer: Fire re-enters Initialize; a free
+// function that happens to be named Initialize is fine.
 package lifecycle
 
-type Actor struct {
-	sum int
-	// emitted is committed by the director after the firing.
-	//confvet:postfire
-	emitted int
-}
+type Actor struct{}
 
 func (a *Actor) Initialize() {}
 func (a *Actor) Wrapup()     {}
 
 func (a *Actor) Fire() {
 	a.Initialize() // lifecycle phase re-entered from Fire
-	a.sum++        // fine: not postfire-owned
-	a.emitted++    // postfire-owned field mutated during Fire
 }
-
-func (a *Actor) Postfire() { a.emitted++ }
 
 type Clean struct{}
 

@@ -1,8 +1,7 @@
 // Microbenchmarks for the engine hot path: broadcast fan-out, receiver
 // puts, timekeeper stamping, and an end-to-end pipeline-throughput
-// benchmark reporting events_per_sec. The baseline-vs-batched numbers for
-// the batched-transport change are recorded in BENCH_hotpath.json (see
-// DESIGN.md's "Hot path" section for how to regenerate them).
+// benchmark reporting events_per_sec. The recorded end-to-end figure is the
+// benchmark's drain_eps on pipe_pncwf; these locate a change by layer.
 package director
 
 import (
@@ -155,8 +154,8 @@ func BenchmarkTimekeeperStamp(b *testing.B) {
 // BenchmarkPipelineThroughput runs a 4-stage pipeline (source → map →
 // filter → sink) under the thread-based PNCWF director and reports
 // events_per_sec: the number of source events pushed through the whole
-// pipeline per wall-clock second. This is the headline number recorded in
-// BENCH_hotpath.json.
+// pipeline per wall-clock second. The recorded figure for this pipeline is
+// drain_eps on the benchmark's pipe_pncwf workload.
 func BenchmarkPipelineThroughput(b *testing.B) {
 	const events = 20000
 	b.ResetTimer()

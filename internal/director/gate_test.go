@@ -1,13 +1,9 @@
-// Performance gates for the lock-free hot path: a hard zero-allocation
-// check on the steady-state firing loop and an opt-in throughput
-// regression gate against the recorded BENCH_hotpath.json numbers (run via
-// `make bench-gate`, BENCH_GATE=1).
+// The hot-path allocation gate (run by `make bench-gate`): a hard
+// zero-allocation check on the steady-state firing loop. What the loop
+// costs end to end is drain_eps on the benchmark's pipe_pncwf workload.
 package director
 
 import (
-	"context"
-	"encoding/json"
-	"os"
 	"testing"
 	"time"
 
@@ -97,76 +93,5 @@ func TestFiringLoopZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, round); avg != 0 {
 		t.Fatalf("steady-state firing loop allocates %.2f allocs/op, want 0", avg)
-	}
-}
-
-// benchRecord mirrors the BENCH_hotpath.json entries the gate reads.
-type benchRecord struct {
-	Lockfree struct {
-		Pipeline struct {
-			EventsPerSec float64 `json:"events_per_sec"`
-		} `json:"BenchmarkPipelineThroughput"`
-	} `json:"lockfree"`
-}
-
-// TestPipelineThroughputGate fails when pipeline throughput regresses more
-// than 10% below the recorded lockfree baseline. Opt-in via BENCH_GATE=1:
-// wall-clock throughput on a shared CI box is too noisy for every `go
-// test` run, so the Makefile's bench-gate target takes the best of several
-// attempts.
-func TestPipelineThroughputGate(t *testing.T) {
-	if os.Getenv("BENCH_GATE") == "" {
-		t.Skip("set BENCH_GATE=1 (make bench-gate) to run the throughput gate")
-	}
-	data, err := os.ReadFile("../../BENCH_hotpath.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec benchRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
-	}
-	baseline := rec.Lockfree.Pipeline.EventsPerSec
-	if baseline <= 0 {
-		t.Fatal("BENCH_hotpath.json has no lockfree pipeline baseline")
-	}
-
-	const events = 20000
-	best := 0.0
-	for attempt := 0; attempt < 3; attempt++ {
-		items := make([]actors.Item, events)
-		base := time.Now().Add(-time.Hour)
-		for j := range items {
-			items[j] = actors.Item{Tok: value.Int(int64(j)), Time: base.Add(time.Duration(j) * time.Microsecond)}
-		}
-		wf := model.NewWorkflow("pipeline")
-		src := actors.NewSource("src", actors.NewSliceFeed(items), 64)
-		mp := actors.NewMap("map", func(v value.Value) value.Value { return v })
-		fl := actors.NewFilter("filter", func(v value.Value) bool { return true })
-		sink := actors.NewCollect("sink")
-		wf.MustAdd(src, mp, fl, sink)
-		wf.MustConnect(src.Out(), mp.In())
-		wf.MustConnect(mp.Out(), fl.In())
-		wf.MustConnect(fl.Out(), sink.In())
-		d := NewPNCWF(PNCWFOptions{})
-		if err := d.Setup(wf); err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		if err := d.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		if len(sink.Tokens) != events {
-			t.Fatalf("sink got %d events, want %d", len(sink.Tokens), events)
-		}
-		if eps := float64(events) / elapsed.Seconds(); eps > best {
-			best = eps
-		}
-	}
-	floor := 0.9 * baseline
-	t.Logf("pipeline throughput: best %.0f events/sec (baseline %.0f, floor %.0f)", best, baseline, floor)
-	if best < floor {
-		t.Fatalf("pipeline throughput %.0f events/sec regressed below 90%% of the %.0f baseline", best, baseline)
 	}
 }

@@ -265,7 +265,11 @@ func (d *PNCWF) quiescent() bool {
 }
 
 // runSource is the thread controller for a source actor: it fires whenever
-// external data is available, sleeping until the next event otherwise.
+// external data is available, sleeping until the next event otherwise. Like
+// runActor it reads the clock twice per firing: before the firing, and
+// after the broadcast, which dates the statistics record.
+//
+//confvet:hotpath
 func (d *PNCWF) runSource(ctx context.Context, a model.Actor) error {
 	fctx := model.NewFireContext(d.clk, event.NewTimekeeper())
 	fctx.Timekeeper().SetPool(d.pool)
@@ -277,12 +281,14 @@ func (d *PNCWF) runSource(ctx context.Context, a model.Actor) error {
 			return nil
 		}
 		fctx.BeginFiring(nil)
-		start := time.Now()
+		start := d.clk.Now()
 		if err := model.Invoke(a, fctx); err != nil {
 			return err
 		}
 		emissions := fctx.EndFiring()
-		scratch = d.broadcastAndRecord(entry, emissions, scratch, start, 0)
+		scratch = model.BroadcastEmissions(emissions, scratch)
+		end := d.clk.Now()
+		entry.RecordFiring(end.Sub(start), 0, len(emissions), end)
 		if fctx.Stopped() {
 			d.stop()
 			return nil
@@ -422,13 +428,4 @@ func (d *PNCWF) stop() {
 	d.stopped = true
 	d.mu.Unlock()
 	d.poke()
-}
-
-// broadcastAndRecord delivers a firing's emissions through the batched
-// transport and records the firing on the actor's statistics shard. It
-// returns the (possibly grown) scratch buffer for the next firing.
-func (d *PNCWF) broadcastAndRecord(entry *stats.Entry, emissions []model.Emission, scratch []*event.Event, start time.Time, consumed int) []*event.Event {
-	scratch = model.BroadcastEmissions(emissions, scratch)
-	entry.RecordFiring(time.Since(start), consumed, len(emissions), d.clk.Now())
-	return scratch
 }

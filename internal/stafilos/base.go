@@ -206,9 +206,6 @@ func (b *Base) Entry(a model.Actor) *Entry {
 	return b.byActor[a.Name()]
 }
 
-// EntryByName returns the entry for the named actor, or nil.
-func (b *Base) EntryByName(name string) *Entry { return b.byActor[name] }
-
 // SetState transitions e between the scheduler states, maintaining the
 // active/waiting priority queues: ACTIVE entries live in the active queue,
 // WAITING entries in the waiting queue, INACTIVE entries in neither.
@@ -256,10 +253,6 @@ func (b *Base) SwapQueues() {
 		e.State = Waiting
 	}
 }
-
-// Queues exposes the active and waiting priority queues (tests and
-// diagnostics). Callers must hold Mu when a parallel run is in progress.
-func (b *Base) Queues() (active, waiting *EntryQueue) { return b.ActiveQ, b.WaitingQ }
 
 // ClaimRunnable is the shared skip-busy claim loop behind every policy's
 // Claim: it repeatedly asks next (the policy's NextActor logic) for the
@@ -351,13 +344,6 @@ func (b *Base) TotalQueued() int {
 
 // IterationBegin provides the default no-op hook.
 func (b *Base) IterationBegin() {}
-
-// CountInternalFiring advances the interval-based source gate and reports
-// whether a source firing is now due.
-func (b *Base) CountInternalFiring() bool {
-	b.InternalSinceSource++
-	return b.Env != nil && b.Env.SourceInterval > 0 && b.InternalSinceSource >= b.Env.SourceInterval
-}
 
 // ResetSourceGate clears the interval counter after a source fired.
 func (b *Base) ResetSourceGate() { b.InternalSinceSource = 0 }

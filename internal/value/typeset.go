@@ -29,17 +29,6 @@ func (s TypeSet) Has(k Kind) bool {
 	return s.IsAny() || s&(1<<uint(k)) != 0
 }
 
-// Intersect returns the kinds common to both sets; Any is the identity.
-func (s TypeSet) Intersect(t TypeSet) TypeSet {
-	if s.IsAny() {
-		return t
-	}
-	if t.IsAny() {
-		return s
-	}
-	return s & t
-}
-
 // Compatible reports whether a channel from a producer typed s to a
 // consumer typed t can carry at least one kind.
 func (s TypeSet) Compatible(t TypeSet) bool {
