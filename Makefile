@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 race vet lint bench-lint bench bench-build bench-gate race-obs build test
+.PHONY: tier1 race vet lint bench-lint bench bench-build bench-gate build test
 
 # tier1 is the acceptance gate: everything builds and every test passes.
 tier1: build test
@@ -11,7 +11,9 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# race runs the whole suite under the race detector.
+# race runs the whole suite under the race detector, the introspection
+# layer's concurrent stresses (lineage store, QoS monitor, 8-worker
+# parallel executor) included.
 race:
 	$(GO) test -race ./...
 
@@ -23,7 +25,7 @@ vet:
 # and "Dataflow analysis"): the five syntactic checks plus the poolsafe /
 # ringsafe / waitersafe dataflow tier. The ./... pattern covers the whole
 # module — internal/, cmd/ and examples/ alike. Both legs must be clean
-# for the tree to be mergeable.
+# for the tree to be mergeable; CI runs lint, so vet needs no job of its own.
 lint: vet
 	$(GO) run ./cmd/confvet ./...
 
@@ -66,10 +68,3 @@ bench-gate:
 	GOMAXPROCS=8 $(GO) test ./internal/ring/ -count 1
 	$(GO) test ./internal/stafilos/ -run 'TestSCWFPassthroughDeliveryZeroAlloc|TestSequentialPipelineSteadyStateAllocs|TestWindowedDeliverySteadyStateAllocs' -v -count 1
 	$(GO) test ./internal/dist/ -run TestAppendEventZeroAlloc -v -count 1
-
-# race-obs runs the introspection layer and every sub-package under the
-# race detector: the lineage-store stress under an 8-worker parallel
-# executor, the live-server smoke, the QoS monitor stress, the store's
-# concurrent record-vs-query stress, and the latency attribution engine.
-race-obs:
-	$(GO) test -race ./internal/obs/...

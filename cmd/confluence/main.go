@@ -16,8 +16,9 @@
 //
 // demo, run and serve accept -obs addr to serve the engine introspection
 // layer (/metrics in Prometheus format, /debug/pprof/, /workflows,
-// /trace/{wavetag}, /healthz) while the workflow runs; -sample sets the
-// fraction of waves traced. demo additionally accepts -shed maxLag to insert
+// /provenance?wave=t<root>-<seq>, /healthz) while the workflow runs;
+// -sample sets the fraction of waves traced and -prov raises the lineage
+// retention. demo additionally accepts -shed maxLag to insert
 // a load-shedding actor after the source and report its drop counters, and
 // -slo to attach the continuous QoS monitor (live latency quantiles and
 // burn-rate alerting on /slo, post-mortem dumps on /debug/flightrecorder).
@@ -184,9 +185,9 @@ func addObsFlags(fs *flag.FlagSet) obsFlags {
 		addr:    fs.String("obs", "", "serve introspection (metrics/pprof/trace) on this address"),
 		sample:  fs.Float64("sample", 1.0, "fraction of waves traced (with -obs)"),
 		node:    fs.String("node", "", "stable node name for cluster identity (with -obs)"),
-		prov:    fs.Bool("prov", false, "serve lineage queries on /provenance and raise lineage retention (with -obs)"),
+		prov:    fs.Bool("prov", false, "raise lineage retention from the newest 4096 hops to ~65K (with -obs)"),
 		peers:   fs.String("peers", "", "comma-separated peer obs addresses for /cluster and cluster-scoped /provenance"),
-		latency: fs.Bool("latency", false, "enable critical-path latency attribution on /latency (with -obs; implies -prov)"),
+		latency: fs.Bool("latency", false, "enable critical-path latency attribution on /latency (with -obs; implies -prov's retention)"),
 	}
 }
 
@@ -213,7 +214,7 @@ func startObs(f obsFlags) (*confluence.Observer, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("introspection: http://%s/ (/metrics /workflows /trace/ /provenance /latency /cluster /healthz /debug/pprof/)\n", o.Addr())
+	fmt.Printf("introspection: http://%s/ (/metrics /workflows /provenance /latency /cluster /healthz /debug/pprof/)\n", o.Addr())
 	return o, nil
 }
 

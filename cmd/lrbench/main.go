@@ -70,7 +70,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "lrbench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("# introspection: http://%s/ (/metrics /workflows /trace/ /healthz)\n", addr)
+		fmt.Printf("# introspection: http://%s/ (/metrics /workflows /provenance /healthz)\n", addr)
 		setup.Observer = observer
 		if *slo {
 			m := qos.NewMonitor(observer, qos.Options{})

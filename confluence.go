@@ -337,11 +337,11 @@ func NewStats() *Stats { return stats.NewRegistry() }
 type (
 	// Observer is the engine introspection hub: a telemetry registry
 	// exported at /metrics, the lineage store of sampled waves behind
-	// /trace/, and the director hooks feeding both. A nil *Observer is valid
+	// /provenance, and the director hooks feeding both. A nil *Observer is valid
 	// everywhere and means observability off.
 	Observer = obs.Engine
 	// ObserveOptions configures tracing (per-wave sampling rate), cluster
-	// identity, provenance retention, and critical-path latency attribution
+	// identity, lineage retention, and critical-path latency attribution
 	// (Latency: true serves per-wave waterfalls and the fleet-wide profile
 	// at /latency).
 	ObserveOptions = obs.Options
@@ -352,7 +352,7 @@ type (
 func NewObserver(opts ObserveOptions) *Observer { return obs.NewEngine(opts) }
 
 // Observe builds an introspection engine and serves /metrics,
-// /debug/pprof/, /workflows and /trace/ on addr (host:port; port 0 picks a
+// /debug/pprof/, /workflows and /provenance on addr (host:port; port 0 picks a
 // free port). Wire the returned observer into RunOptions.Observer, and
 // Close it when done.
 func Observe(addr string, opts ObserveOptions) (*Observer, error) {

@@ -3,8 +3,8 @@
 // The paper's Section 5 scalability direction, plus the observability layer
 // of internal/obs/prov: position-report ingestion runs on node "lr-ingest",
 // windowed toll analytics on node "lr-analytics", linked by a TCP bridge.
-// Each node serves its own introspection endpoint with the persistent
-// provenance store enabled; sampled waves crossing the bridge carry trace
+// Each node serves its own introspection endpoint with provenance
+// retention; sampled waves crossing the bridge carry trace
 // context (traced flag + origin-node ID), so a toll alert's full lineage —
 // source firing on node A, bridge hop, windowed analytics on node B — is
 // answerable from either node with one /provenance query.

@@ -78,7 +78,7 @@ func TestCrossBridgeTraceRoundTrip(t *testing.T) {
 
 	// Every wave that reached B's sink must be in B's provenance store —
 	// purely by bridge forcing, B's own sampler never fired.
-	refs := engB.Prov().ByActor("sink", time.Time{}, time.Time{}, 0)
+	refs := engB.Lineage().ByActor("sink", time.Time{}, time.Time{}, 0)
 	if len(refs) != n {
 		t.Fatalf("node B holds %d sink waves, want %d (bridge forcing missed some)", len(refs), n)
 	}
@@ -86,7 +86,7 @@ func TestCrossBridgeTraceRoundTrip(t *testing.T) {
 	wantOrigin := uint64(dist.NodeIDOf("ingest"))
 	for _, ref := range refs {
 		// B's half of the lineage: receiver source firing, double, sink.
-		hops := engB.Prov().Wave(ref.Root, ref.RootSeq)
+		hops := engB.Lineage().Wave(ref.Root, ref.RootSeq)
 		actorsSeen := map[string]bool{}
 		for _, h := range hops {
 			actorsSeen[h.Actor] = true
@@ -100,7 +100,7 @@ func TestCrossBridgeTraceRoundTrip(t *testing.T) {
 			}
 		}
 		// The stitch: B knows which node the wave arrived from.
-		origin, ok := engB.Prov().Origin(ref.Root, ref.RootSeq)
+		origin, ok := engB.Lineage().Origin(ref.Root, ref.RootSeq)
 		if !ok {
 			t.Fatalf("wave t%d-%d has no recorded origin on node B", ref.Root, ref.RootSeq)
 		}
@@ -110,7 +110,7 @@ func TestCrossBridgeTraceRoundTrip(t *testing.T) {
 		// A's half: the source firing and the bridge-out hop for the SAME
 		// wave identity — together the two stores answer the full
 		// "which inputs produced this output?" walk.
-		hopsA := engA.Prov().Wave(ref.Root, ref.RootSeq)
+		hopsA := engA.Lineage().Wave(ref.Root, ref.RootSeq)
 		if len(hopsA) == 0 {
 			t.Fatalf("wave t%d-%d has no lineage on node A", ref.Root, ref.RootSeq)
 		}

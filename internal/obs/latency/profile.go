@@ -4,12 +4,10 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs/prov"
 	"repro/internal/obs/sketch"
 	"repro/internal/ring"
-	"repro/internal/stats"
 )
 
 const (
@@ -51,10 +49,8 @@ type edgeAttr struct {
 }
 
 // Profile folds sampled waterfalls into a fleet-wide latency attribution:
-// per-actor critical-path shares, per-edge gap/transit shares, end-to-end
-// quantiles, and a per-actor cost/selectivity history (its own
-// stats.Registry — deliberately not the live scheduler registry, which
-// counts real invocations).
+// per-actor critical-path shares, per-edge gap/transit shares and
+// end-to-end quantiles.
 //
 // The firing path only ever calls NoteEndpoint (one bounded ring push);
 // all analysis happens in Fold, which the serving layer triggers on
@@ -73,7 +69,6 @@ type Profile struct {
 	totalNs  int64
 	folded   map[waveKey]struct{}
 	foldedQ  []waveKey
-	history  *stats.Registry
 }
 
 // NewProfile builds a profile over the given lineage resolver.
@@ -84,7 +79,6 @@ func NewProfile(resolver Resolver) *Profile {
 		actors:   map[string]*actorAttr{},
 		edges:    map[string]*edgeAttr{},
 		folded:   map[waveKey]struct{}{},
-		history:  stats.NewRegistry(),
 	}
 }
 
@@ -190,23 +184,6 @@ func (p *Profile) foldLocked(w *Waterfall) {
 			}
 		}
 	}
-	for _, h := range w.Path {
-		// Consumed/produced counts are not on the path view; the history
-		// records observed critical-path cost per firing, the training
-		// signal for cost-model feedback (selectivity stays with the live
-		// registry).
-		p.history.Entry(h.Actor).RecordFiring(h.Cost, 1, 1, time.Unix(0, h.StartNs))
-	}
-}
-
-// History is the profile's own per-actor statistics registry, fed one
-// observation per critical-path hop — cost history for feedback
-// controllers, isolated from the scheduler's live registry.
-func (p *Profile) History() *stats.Registry {
-	if p == nil {
-		return nil
-	}
-	return p.history
 }
 
 // Reset clears all accumulated attribution (between virtual-time benchmark
@@ -230,7 +207,6 @@ func (p *Profile) Reset() {
 	p.endToEnd.Reset()
 	p.folded = map[waveKey]struct{}{}
 	p.foldedQ = nil
-	p.history = stats.NewRegistry()
 }
 
 // ActorShare is one actor's slice of the fleet-wide attribution.

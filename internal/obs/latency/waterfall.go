@@ -4,14 +4,12 @@
 // from source to the wave's endpoint and decomposes the end-to-end latency
 // into queue-wait, firing-cost, bridge-transit and inter-hop gap segments —
 // the per-wave waterfall. The Profile (profile.go) folds sampled waterfalls
-// into a fleet-wide per-actor/per-edge attribution, the signal source the
-// roadmap's feedback controller (and WOW-style workflow-aware scheduling)
-// needs.
+// into a fleet-wide per-actor/per-edge attribution.
 //
-// The package sits below obs: it imports only the provenance store, the
-// shared quantile sketch and the statistics registry, so obs can serve it
-// over HTTP while internal/obs/qos (which imports obs) reuses the same
-// sketch without an import cycle.
+// The package sits below obs: it imports only the provenance store and the
+// shared quantile sketch, so obs can serve it over HTTP while
+// internal/obs/qos (which imports obs) reuses the same sketch without an
+// import cycle.
 package latency
 
 import (

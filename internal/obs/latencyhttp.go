@@ -2,6 +2,7 @@ package obs
 
 import (
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,10 +62,9 @@ func (e *Engine) ResetLatency() {
 // resolveWave is the profile's lineage resolver: the wave's local hops
 // plus any measured bridge transit.
 func (e *Engine) resolveWave(root int64, rootSeq uint64) ([]prov.Hop, []prov.Transit) {
-	store := e.Prov()
-	hops := store.Wave(root, rootSeq)
+	hops := e.store.Wave(root, rootSeq)
 	var transits []prov.Transit
-	if t, ok := store.TransitOf(root, rootSeq); ok {
+	if t, ok := e.store.TransitOf(root, rootSeq); ok {
 		transits = append(transits, t)
 	}
 	return hops, transits
@@ -75,7 +75,7 @@ func (e *Engine) resolveWave(root int64, rootSeq uint64) ([]prov.Hop, []prov.Tra
 func (e *Engine) transitObserved(bridge string, root int64, rootSeq uint64, origin uint64,
 	sentNs, recvNs int64, transit time.Duration) {
 	e.bridgeTransit.With(bridge).Observe(transit)
-	e.Prov().NoteTransit(root, rootSeq, origin, sentNs, recvNs, transit)
+	e.store.NoteTransit(root, rootSeq, origin, sentNs, recvNs, transit)
 }
 
 // transitSinkTarget is what a bridge receiver exposes for transit timing
@@ -297,45 +297,24 @@ func (e *Engine) handleLatencyWave(w http.ResponseWriter, r *http.Request) {
 	var skews []skewView
 	if r.URL.Query().Get("scope") == "cluster" {
 		scope = "cluster"
-		offsets := e.peerOffsets()
-		applied := map[string]*skewView{}
-		for _, peer := range e.clusterPeers() {
-			var pw struct {
-				Wave provWaveView `json:"wave"`
-			}
-			if err := fetchPeerJSON(peer, "/provenance?wave="+id, &pw); err != nil {
-				continue // unreachable peer: report what we have
-			}
-			for _, hv := range pw.Wave.Hops {
-				h := hopFromView(hv, root, rootSeq)
-				if h.Node == e.nodeName {
-					continue // the peer echoing hops it stitched from us
-				}
-				if po, ok := e.offsetForNode(offsets, h.Node); ok {
-					h.Start = h.Start.Add(po.Offset)
-					sv := applied[h.Node]
-					if sv == nil {
-						sv = &skewView{
-							Node:            h.Node,
-							OffsetSeconds:   po.Offset.Seconds(),
-							RTTSeconds:      po.RTT.Seconds(),
-							ErrBoundSeconds: (po.RTT / 2).Seconds(),
-							Samples:         po.Samples,
-						}
-						applied[h.Node] = sv
-					}
-					sv.AppliedToHopCount++
-				}
-				hops = append(hops, h)
-			}
+		peers := e.clusterWave(url.Values{"wave": {id}})
+		for _, hv := range peers.hops {
+			hops = append(hops, hopFromView(hv, root, rootSeq))
 		}
-		for _, sv := range applied {
-			skews = append(skews, *sv)
+		for node, sk := range peers.skew {
+			skews = append(skews, skewView{
+				Node:              node,
+				OffsetSeconds:     sk.Offset.Seconds(),
+				RTTSeconds:        sk.RTT.Seconds(),
+				ErrBoundSeconds:   (sk.RTT / 2).Seconds(),
+				Samples:           sk.Samples,
+				AppliedToHopCount: sk.hops,
+			})
 		}
 		sort.Slice(skews, func(i, j int) bool { return skews[i].Node < skews[j].Node })
 	}
 	if len(hops) == 0 {
-		http.Error(w, "wave not in provenance store (not sampled, or evicted)", http.StatusNotFound)
+		http.Error(w, "wave not in the lineage store (not sampled, or evicted)", http.StatusNotFound)
 		return
 	}
 	wf := latency.Analyze(hops, transits)

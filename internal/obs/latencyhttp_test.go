@@ -26,8 +26,8 @@ func seedEndpointLineage(e *obs.Engine, node string, root int64, rootSeq uint64,
 // the profile view, the waterfall's exact segment sum, and the rejections.
 func TestLatencyEndpoint(t *testing.T) {
 	e := obs.NewEngine(obs.Options{SampleRate: 1, NodeName: "solo", Latency: true})
-	if e.Prov() == nil {
-		t.Fatal("Latency did not imply the provenance store")
+	if got := e.Lineage().Stats().CapacityHops; got <= 4096 {
+		t.Fatalf("retention %d hops: Latency did not imply provenance retention", got)
 	}
 	addr, err := e.Serve("127.0.0.1:0")
 	if err != nil {
@@ -285,6 +285,70 @@ func TestLatencyClusterSkewCorrection(t *testing.T) {
 	if len(wfall.Wave.Skew) != 1 || wfall.Wave.Skew[0].Node != "alpha" ||
 		wfall.Wave.Skew[0].OffsetSeconds != -0.03 || wfall.Wave.Skew[0].Applied != 2 {
 		t.Errorf("skew view = %+v, want alpha -30ms applied to 2 hops", wfall.Wave.Skew)
+	}
+}
+
+// TestClusterViewsKeepUnnamedPeerHops: two engines without NodeName share
+// the empty name, so a peer hop is indistinguishable by name from a local
+// one. Both cluster views must still merge the peer's hops — a peer answers
+// from its own store and cannot echo ours back.
+func TestClusterViewsKeepUnnamedPeerHops(t *testing.T) {
+	eA := obs.NewEngine(obs.Options{SampleRate: 1, Provenance: true})
+	eB := obs.NewEngine(obs.Options{SampleRate: 1, Provenance: true})
+	addrA, err := eA.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eA.Close()
+	addrB, err := eB.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eB.Close()
+	eA.SetCluster([]string{addrB})
+	eB.SetCluster([]string{addrA})
+
+	base := time.Now().Add(-time.Minute)
+	seedLineage(eA, "", 7, 1, base, "src", "bridgeOut")
+	seedLineage(eB, "", 7, 1, base.Add(10*time.Millisecond), "bridgeIn", "sink")
+
+	for _, addr := range []string{addrA, addrB} {
+		var pv struct {
+			Wave struct {
+				Hops []struct {
+					Actor string `json:"actor"`
+				} `json:"hops"`
+			} `json:"wave"`
+		}
+		body, code := get(t, "http://"+addr+"/provenance?wave=t7-1&scope=cluster")
+		if code != http.StatusOK {
+			t.Fatalf("cluster wave status %d: %s", code, body)
+		}
+		if err := json.Unmarshal([]byte(body), &pv); err != nil || len(pv.Wave.Hops) != 4 {
+			t.Errorf("%s: cluster /provenance = %s (err %v), want 4 hops", addr, body, err)
+		}
+
+		var wf struct {
+			Wave struct {
+				Path []struct {
+					Actor string `json:"actor"`
+				} `json:"path"`
+			} `json:"wave"`
+		}
+		body, code = get(t, "http://"+addr+"/latency/wave/t7-1?scope=cluster")
+		if code != http.StatusOK {
+			t.Fatalf("cluster waterfall status %d: %s", code, body)
+		}
+		if err := json.Unmarshal([]byte(body), &wf); err != nil {
+			t.Fatal(err)
+		}
+		var actors []string
+		for _, h := range wf.Wave.Path {
+			actors = append(actors, h.Actor)
+		}
+		if got := strings.Join(actors, ","); got != "src,bridgeOut,bridgeIn,sink" {
+			t.Errorf("%s: cluster waterfall path = %s, want both nodes' hops", addr, got)
+		}
 	}
 }
 

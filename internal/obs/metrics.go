@@ -1,7 +1,7 @@
 // Package obs is the engine introspection layer: a stdlib-only telemetry
 // registry exported in Prometheus text exposition format, one lineage store
 // (internal/obs/prov) recording a hop per firing of each sampled wave, and an
-// HTTP server mounting /metrics, /debug/pprof/, /workflows and /trace/ views.
+// HTTP server mounting /metrics, /debug/pprof/, /workflows and /provenance.
 //
 // The package sits below every director: internal/stafilos and internal/sched
 // call the Engine's hot-path hooks (nil Engine = observability off, zero

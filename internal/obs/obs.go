@@ -30,9 +30,8 @@ type Options struct {
 	// "no identity" (single-process runs).
 	NodeName string
 	// Provenance raises the lineage store's retention from the newest 4096
-	// hops to the prov package defaults (~65K) and serves the lineage
-	// queries (/provenance). Off by default: /trace/ alone then answers,
-	// for recent waves.
+	// hops to the prov package defaults (~65K). It changes nothing else:
+	// the store records, and /provenance serves, either way.
 	Provenance bool
 	// Peers lists the other nodes' obs HTTP base addresses
 	// ("host:port" or "http://host:port") for the /cluster rollup and
@@ -41,16 +40,9 @@ type Options struct {
 
 	// Latency enables critical-path latency attribution (/latency): sampled
 	// waves' lineages are folded into per-wave waterfalls and a fleet-wide
-	// per-actor/per-edge profile. Implies Provenance — the waterfall
-	// analyzer reads the lineage store.
+	// per-actor/per-edge profile. Implies Provenance's retention, so a
+	// wave's lineage outlives the analysis queue.
 	Latency bool
-}
-
-// shedReporter is what a load-shedding actor exposes for scraping;
-// actors.Shedder implements it.
-type shedReporter interface {
-	Dropped() int64
-	Passed() int64
 }
 
 // queueReporter is what a scheduler-backed director exposes for scraping
@@ -143,13 +135,11 @@ type Engine struct {
 	reg    *Registry
 	tracer *Tracer
 
-	// store holds every sampled firing, once; provenance says whether it
-	// is sized for, and served as, /provenance. nodeName/nodeID are this
+	// store holds every sampled firing, once. nodeName/nodeID are this
 	// process's cluster identity.
-	store      *prov.Store
-	provenance bool
-	nodeName   string
-	nodeID     uint64
+	store    *prov.Store
+	nodeName string
+	nodeID   uint64
 
 	// latency is the critical-path attribution profile (nil when
 	// Options.Latency is off).
@@ -191,15 +181,14 @@ type Engine struct {
 // tracing off.
 func NewEngine(opts Options) *Engine {
 	e := &Engine{
-		reg:        NewRegistry(),
-		tracer:     NewTracer(opts.SampleRate),
-		provenance: opts.Provenance || opts.Latency,
-		nodeName:   opts.NodeName,
-		nodeID:     uint64(dist.NodeIDOf(opts.NodeName)),
-		peers:      append([]string(nil), opts.Peers...),
+		reg:      NewRegistry(),
+		tracer:   NewTracer(opts.SampleRate),
+		nodeName: opts.NodeName,
+		nodeID:   uint64(dist.NodeIDOf(opts.NodeName)),
+		peers:    append([]string(nil), opts.Peers...),
 	}
 	retention := traceRetention(traceCapacity)
-	if e.provenance {
+	if opts.Provenance || opts.Latency {
 		retention = prov.Options{}
 	}
 	e.store = prov.NewStore(retention)
@@ -238,31 +227,6 @@ func (e *Engine) Lineage() *prov.Store {
 	return e.store
 }
 
-// Prov returns the lineage store as the provenance surface sees it: nil
-// unless Options.Provenance asked for provenance retention.
-func (e *Engine) Prov() *prov.Store {
-	if e == nil || !e.provenance {
-		return nil
-	}
-	return e.store
-}
-
-// NodeName returns the process's cluster identity name ("" when unset).
-func (e *Engine) NodeName() string {
-	if e == nil {
-		return ""
-	}
-	return e.nodeName
-}
-
-// NodeID returns the derived stable node identity (0 when unset).
-func (e *Engine) NodeID() uint64 {
-	if e == nil {
-		return 0
-	}
-	return e.nodeID
-}
-
 // SetCluster replaces the peer list used by /cluster and cluster-scoped
 // /provenance queries. Safe to call while serving.
 func (e *Engine) SetCluster(peers []string) {
@@ -292,7 +256,7 @@ func (e *Engine) traceSampled(root int64, rootSeq uint64) bool {
 func (e *Engine) traceForced(root int64, rootSeq uint64, origin uint64) {
 	e.tracer.Force(root, rootSeq)
 	if origin != 0 {
-		e.Prov().NoteOrigin(root, rootSeq, origin)
+		e.store.NoteOrigin(root, rootSeq, origin)
 	}
 	e.forcedWaves.Inc()
 }
@@ -378,7 +342,7 @@ func (e *Engine) Watch(name string, wf *model.Workflow, st *stats.Registry, dir 
 			// Bridge transit timing rides the same structural wiring: the
 			// receiver reports each traced wave's skew-corrected wire time,
 			// attributed to the receiving bridge actor.
-			if t, ok := a.(transitSinkTarget); ok && e.provenance {
+			if t, ok := a.(transitSinkTarget); ok {
 				bridge := a.Name()
 				t.SetTransitSink(func(root int64, rootSeq uint64, origin uint64,
 					sentNs, recvNs int64, transit time.Duration) {
@@ -612,34 +576,21 @@ func (e *Engine) registerCollectors() {
 			}
 		})
 
+	perShed := func(f func(s metrics.ShedStats) float64) func(emit func(string, float64)) {
+		return func(emit func(string, float64)) {
+			for _, w := range e.snapshotWatches() {
+				for _, s := range metrics.ShedStatsOf(w.wf) {
+					emit(s.Actor, f(s))
+				}
+			}
+		}
+	}
 	r.RegisterCollector("confluence_shed_dropped_total",
 		"Events dropped by load-shedding actors.", typeCounter, "actor",
-		func(emit func(string, float64)) {
-			for _, w := range e.snapshotWatches() {
-				if w.wf == nil {
-					continue
-				}
-				for _, a := range w.wf.Actors() {
-					if s, ok := a.(shedReporter); ok {
-						emit(a.Name(), float64(s.Dropped()))
-					}
-				}
-			}
-		})
+		perShed(func(s metrics.ShedStats) float64 { return float64(s.Dropped) }))
 	r.RegisterCollector("confluence_shed_passed_total",
 		"Events passed through by load-shedding actors.", typeCounter, "actor",
-		func(emit func(string, float64)) {
-			for _, w := range e.snapshotWatches() {
-				if w.wf == nil {
-					continue
-				}
-				for _, a := range w.wf.Actors() {
-					if s, ok := a.(shedReporter); ok {
-						emit(a.Name(), float64(s.Passed()))
-					}
-				}
-			}
-		})
+		perShed(func(s metrics.ShedStats) float64 { return float64(s.Passed) }))
 
 	perBridge := func(f func(b metrics.BridgeStats) float64) func(emit func(string, float64)) {
 		return func(emit func(string, float64)) {
@@ -671,9 +622,7 @@ func (e *Engine) registerCollectors() {
 
 	provStat := func(f func(prov.Stats) int64) func(emit func(string, float64)) {
 		return func(emit func(string, float64)) {
-			if p := e.Prov(); p != nil {
-				emit("", float64(f(p.Stats())))
-			}
+			emit("", float64(f(e.store.Stats())))
 		}
 	}
 	r.RegisterCollector("confluence_prov_resident_hops",

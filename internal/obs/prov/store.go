@@ -1,6 +1,6 @@
 // Package prov is the engine's lineage store: the one place a sampled
-// firing is recorded, and what /trace/, /provenance, latency attribution and
-// the QoS flight recorder all read. It is append-only and bounded: hops are
+// firing is recorded, and what /provenance, latency attribution and the QoS
+// flight recorder all read. It is append-only and bounded: hops are
 // sealed into fixed-size segments with explicit retention and eviction
 // counters, so "which inputs produced this toll alert?" (Cuevas-Vicenttín et
 // al.'s provenance question) stays answerable for as long as the configured

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,14 +14,15 @@ import (
 	"repro/internal/obs/prov"
 )
 
-// /provenance — the lineage query API over the lineage store at provenance
-// retention (Options.Provenance).
+// /provenance — the one lineage query API over the engine's lineage store.
 //
-//	GET /provenance                         store stats + recent waves
+//	GET /provenance?limit=N                 store stats + recent waves
 //	GET /provenance?wave=t<root>-<seq>      one wave's full hop lineage
 //	    &walk=ancestors|descendants&path=1.2   ancestor/descendant walk from
 //	                                           the event at that wave path
 //	    &scope=cluster                         merge hops from peer nodes too
+//	GET /provenance?wave=t<root>            every wave under that root; a
+//	    (or a rendered tag t<root>.<path>*)    rendered wave-tag omits the seq
 //	GET /provenance?sink=<actor>            waves that reached an actor,
 //	    &since=&until=&limit=                  bounded by a time window
 //
@@ -29,8 +31,8 @@ import (
 // reports the upstream node it came from (origin) — the cross-process
 // stitch.
 
-// HopView is one lineage hop in JSON — the one rendering /trace/,
-// /provenance and the QoS flight recorder share.
+// HopView is one lineage hop in JSON — the one rendering /provenance and
+// the QoS flight recorder share.
 type HopView struct {
 	Node             string  `json:"node,omitempty"`
 	Actor            string  `json:"actor"`
@@ -143,7 +145,6 @@ func parseWavePath(s string) ([]int, error) {
 }
 
 func (e *Engine) handleProvenance(w http.ResponseWriter, r *http.Request) {
-	store := e.Prov()
 	q := r.URL.Query()
 
 	limit := 100
@@ -175,23 +176,32 @@ func (e *Engine) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{
 			"node":  e.nodeName,
 			"sink":  sink,
-			"waves": provRefViews(store.ByActor(sink, since, until, limit)),
+			"waves": provRefViews(e.store.ByActor(sink, since, until, limit)),
 		})
 		return
 	}
 
 	writeJSON(w, map[string]any{
-		"enabled": store != nil,
 		"node":    e.nodeName,
 		"node_id": dist.NodeID(e.nodeID).String(),
-		"stats":   store.Stats(),
-		"waves":   provRefViews(store.Recent(limit)),
+		"stats":   e.store.Stats(),
+		"waves":   provRefViews(e.store.Recent(limit)),
 	})
+}
+
+// waveView renders one wave's hops with its bridge origin, when known.
+func (e *Engine) waveView(root int64, rootSeq uint64, hops []prov.Hop) provWaveView {
+	v := provWaveView{ID: FormatWaveID(root, rootSeq), Hops: HopViews(hops)}
+	if origin, ok := e.store.Origin(root, rootSeq); ok {
+		v.Origin = dist.NodeID(origin).String()
+	}
+	return v
 }
 
 // handleProvenanceWave serves the wave-lineage queries, optionally walking
 // ancestors/descendants of one event and optionally merging peer nodes'
-// hops (scope=cluster).
+// hops (scope=cluster). An id without a sequence number answers with every
+// wave under that root.
 func (e *Engine) handleProvenanceWave(w http.ResponseWriter, r *http.Request, waveID string) {
 	q := r.URL.Query()
 	root, rootSeq, hasSeq, err := ParseWaveID(waveID)
@@ -200,7 +210,19 @@ func (e *Engine) handleProvenanceWave(w http.ResponseWriter, r *http.Request, wa
 		return
 	}
 	if !hasSeq {
-		http.Error(w, "wave query needs the full t<root>-<rootseq> form", http.StatusBadRequest)
+		if q.Get("walk") != "" || q.Get("scope") != "" {
+			http.Error(w, "walk= and scope= need the full t<root>-<rootseq> form", http.StatusBadRequest)
+			return
+		}
+		var waves []provWaveView
+		for _, hops := range e.store.WavesByRoot(root) {
+			waves = append(waves, e.waveView(root, hops[0].RootSeq, hops))
+		}
+		if len(waves) == 0 {
+			http.Error(w, "no wave under that root in the lineage store (not sampled, or evicted)", http.StatusNotFound)
+			return
+		}
+		writeJSON(w, map[string]any{"node": e.nodeName, "waves": waves})
 		return
 	}
 	path, err := parseWavePath(q.Get("path"))
@@ -209,53 +231,27 @@ func (e *Engine) handleProvenanceWave(w http.ResponseWriter, r *http.Request, wa
 		return
 	}
 
-	store := e.Prov()
 	var hops []prov.Hop
 	switch walk := q.Get("walk"); walk {
 	case "", "wave":
-		hops = store.Wave(root, rootSeq)
+		hops = e.store.Wave(root, rootSeq)
 	case "ancestors":
-		hops = store.Ancestors(root, rootSeq, path)
+		hops = e.store.Ancestors(root, rootSeq, path)
 	case "descendants":
-		hops = store.Descendants(root, rootSeq, path)
+		hops = e.store.Descendants(root, rootSeq, path)
 	default:
 		http.Error(w, "walk must be ancestors or descendants", http.StatusBadRequest)
 		return
 	}
-	wave := provWaveView{ID: FormatWaveID(root, rootSeq), Hops: HopViews(hops)}
-	if origin, ok := store.Origin(root, rootSeq); ok {
-		wave.Origin = dist.NodeID(origin).String()
-	}
+	wave := e.waveView(root, rootSeq, hops)
 
 	if q.Get("scope") == "cluster" {
-		// Ask every peer the same question (scope stripped so the fan-out
-		// does not recurse) and merge: upstream hops come first because the
-		// merged list is ordered by wall-clock start time, then by
-		// per-store sequence.
-		peerQ := r.URL.Query()
-		peerQ.Del("scope")
-		offsets := e.peerOffsets()
-		for _, peer := range e.clusterPeers() {
-			var pw struct {
-				Wave provWaveView `json:"wave"`
-			}
-			if err := fetchPeerJSON(peer, "/provenance?"+peerQ.Encode(), &pw); err != nil {
-				continue // unreachable peer: report what we have
-			}
-			for _, hv := range pw.Wave.Hops {
-				// Map peer timestamps onto this node's clock when a local
-				// bridge receiver has a skew estimate for that node, so the
-				// wall-clock sort below orders cross-node hops correctly
-				// even under clock skew.
-				if po, ok := e.offsetForNode(offsets, hv.Node); ok {
-					hv.SkewOffsetNs = po.Offset.Nanoseconds()
-					hv.StartUnixNs += hv.SkewOffsetNs
-				}
-				wave.Hops = append(wave.Hops, hv)
-			}
-			if wave.Origin == "" {
-				wave.Origin = pw.Wave.Origin
-			}
+		// Merge in wall-clock start order, then per-store sequence, so
+		// upstream hops come first.
+		peers := e.clusterWave(q)
+		wave.Hops = append(wave.Hops, peers.hops...)
+		if wave.Origin == "" {
+			wave.Origin = peers.origin
 		}
 		sort.SliceStable(wave.Hops, func(i, j int) bool {
 			if wave.Hops[i].StartUnixNs != wave.Hops[j].StartUnixNs {
@@ -266,10 +262,64 @@ func (e *Engine) handleProvenanceWave(w http.ResponseWriter, r *http.Request, wa
 	}
 
 	if len(wave.Hops) == 0 {
-		http.Error(w, "wave not in provenance store (not sampled, or evicted)", http.StatusNotFound)
+		http.Error(w, "wave not in the lineage store (not sampled, or evicted)", http.StatusNotFound)
 		return
 	}
 	writeJSON(w, map[string]any{"node": e.nodeName, "wave": wave})
+}
+
+// peerWave is one wave's lineage as the cluster's peers hold it.
+type peerWave struct {
+	// hops are every peer's hops, each start mapped onto this node's clock
+	// where a local bridge receiver has a skew estimate for its node.
+	hops []HopView
+	// origin is the first upstream node a peer reported.
+	origin string
+	// skew holds the applied corrections, by peer node name.
+	skew map[string]*appliedSkew
+}
+
+// appliedSkew is one peer node's clock correction and how many of its hops
+// it moved.
+type appliedSkew struct {
+	dist.PeerOffset
+	hops int
+}
+
+// clusterWave is the one scope=cluster fan-out: it asks every peer the same
+// /provenance wave query with scope removed from q, so the fan-out cannot
+// recurse. A peer answers from its own store, so it never echoes this
+// node's hops back; an unreachable peer is skipped.
+func (e *Engine) clusterWave(q url.Values) peerWave {
+	q.Del("scope")
+	path := "/provenance?" + q.Encode()
+	out := peerWave{skew: map[string]*appliedSkew{}}
+	offsets := e.peerOffsets()
+	for _, peer := range e.clusterPeers() {
+		var pw struct {
+			Wave provWaveView `json:"wave"`
+		}
+		if err := fetchPeerJSON(peer, path, &pw); err != nil {
+			continue
+		}
+		for _, hv := range pw.Wave.Hops {
+			if po, ok := e.offsetForNode(offsets, hv.Node); ok {
+				hv.SkewOffsetNs = po.Offset.Nanoseconds()
+				hv.StartUnixNs += hv.SkewOffsetNs
+				sk := out.skew[hv.Node]
+				if sk == nil {
+					sk = &appliedSkew{PeerOffset: po}
+					out.skew[hv.Node] = sk
+				}
+				sk.hops++
+			}
+			out.hops = append(out.hops, hv)
+		}
+		if out.origin == "" {
+			out.origin = pw.Wave.Origin
+		}
+	}
+	return out
 }
 
 // fetchPeerJSON GETs a path from a peer node's obs server and decodes the

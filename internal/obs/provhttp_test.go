@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func seedLineage(e *obs.Engine, node string, root int64, rootSeq uint64, base ti
 			h.In = event.WaveTag{Root: root, RootSeq: rootSeq, Path: pathOfDepth(i - 1)}
 		}
 		h.Out = event.WaveTag{Root: root, RootSeq: rootSeq, Path: pathOfDepth(i)}
-		e.Prov().Record(h)
+		e.Lineage().Record(h)
 	}
 }
 
@@ -63,10 +64,9 @@ func TestProvenanceEndpoint(t *testing.T) {
 
 	// Index: store stats plus recent waves, newest recorded first.
 	var idx struct {
-		Enabled bool   `json:"enabled"`
-		Node    string `json:"node"`
-		NodeID  string `json:"node_id"`
-		Stats   struct {
+		Node   string `json:"node"`
+		NodeID string `json:"node_id"`
+		Stats  struct {
 			Recorded int64 `json:"recorded"`
 			Resident int64 `json:"resident"`
 		} `json:"stats"`
@@ -82,8 +82,8 @@ func TestProvenanceEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &idx); err != nil {
 		t.Fatalf("/provenance JSON: %v\n%s", err, body)
 	}
-	if !idx.Enabled || idx.Node != "solo" || !strings.HasPrefix(idx.NodeID, "node-") {
-		t.Errorf("index = enabled %v node %q node_id %q", idx.Enabled, idx.Node, idx.NodeID)
+	if idx.Node != "solo" || !strings.HasPrefix(idx.NodeID, "node-") {
+		t.Errorf("index = node %q node_id %q", idx.Node, idx.NodeID)
 	}
 	if idx.Stats.Recorded != 6 || idx.Stats.Resident != 6 {
 		t.Errorf("stats = %+v, want 6 recorded/resident", idx.Stats)
@@ -181,7 +181,9 @@ func TestProvenanceEndpoint(t *testing.T) {
 		"/provenance?limit=0":                 http.StatusBadRequest,
 		"/provenance?limit=nope":              http.StatusBadRequest,
 		"/provenance?wave=bogus":              http.StatusBadRequest,
-		"/provenance?wave=t7":                 http.StatusBadRequest, // needs -rootseq
+		"/provenance?wave=t7&walk=ancestors":  http.StatusBadRequest, // walks need -rootseq
+		"/provenance?wave=t7&scope=cluster":   http.StatusBadRequest, // so does the fan-out
+		"/provenance?wave=t999":               http.StatusNotFound,
 		"/provenance?wave=t7-1&walk=banana":   http.StatusBadRequest,
 		"/provenance?wave=t7-1&path=x":        http.StatusBadRequest,
 		"/provenance?sink=sink&since=garbage": http.StatusBadRequest,
@@ -193,39 +195,81 @@ func TestProvenanceEndpoint(t *testing.T) {
 	}
 }
 
-// TestProvenanceDisabledEngine checks the API degrades cleanly when the
-// store is off: the index reports disabled, lineage queries miss.
+// TestProvenanceDisabledEngine pins what Provenance: false still means:
+// the store keeps the newest 4096 hops instead of ~65K, and nothing else
+// changes — a traced firing is recorded and /provenance serves it.
 func TestProvenanceDisabledEngine(t *testing.T) {
 	e := obs.NewEngine(obs.Options{SampleRate: 1})
-	if e.Prov() != nil {
-		t.Error("Prov() non-nil with Provenance off")
+	if got := e.Lineage().Stats().CapacityHops; got != 4096 {
+		t.Errorf("retention with Provenance off = %d hops, want 4096", got)
+	}
+	if on := obs.NewEngine(obs.Options{Provenance: true}); on.Lineage().Stats().CapacityHops <= 4096 {
+		t.Errorf("retention with Provenance on = %d hops, want the larger default", on.Lineage().Stats().CapacityHops)
 	}
 	addr, err := e.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	// A traced firing is in the one store and /trace/ serves it, but the
-	// provenance surface stays off.
 	trigger := &event.Event{Wave: event.WaveTag{Root: 1}}
 	e.FiringObserved("sink", trigger, nil, time.Now(), 0, 0, 1)
-	if _, code := get(t, "http://"+addr+"/trace/t1-0"); code != http.StatusOK {
-		t.Errorf("/trace/t1-0 status %d, want 200", code)
-	}
 	body, code := get(t, "http://"+addr+"/provenance")
 	if code != http.StatusOK {
 		t.Fatalf("/provenance status %d", code)
 	}
 	var idx struct {
-		Enabled bool       `json:"enabled"`
-		Stats   prov.Stats `json:"stats"`
-		Waves   []any      `json:"waves"`
+		Stats prov.Stats `json:"stats"`
+		Waves []struct {
+			ID string `json:"id"`
+		} `json:"waves"`
 	}
-	if err := json.Unmarshal([]byte(body), &idx); err != nil || idx.Enabled || idx.Stats.Recorded != 0 || len(idx.Waves) != 0 {
-		t.Errorf("disabled engine index = %s (err %v)", body, err)
+	if err := json.Unmarshal([]byte(body), &idx); err != nil || idx.Stats.Recorded != 1 ||
+		len(idx.Waves) != 1 || idx.Waves[0].ID != "t1-0" {
+		t.Errorf("index with Provenance off = %s (err %v)", body, err)
 	}
-	if _, code := get(t, "http://"+addr+"/provenance?wave=t1-0"); code != http.StatusNotFound {
-		t.Errorf("wave query on disabled store status %d, want 404", code)
+	if _, code := get(t, "http://"+addr+"/provenance?wave=t1-0"); code != http.StatusOK {
+		t.Errorf("wave query with Provenance off status %d, want 200", code)
+	}
+}
+
+// TestProvenanceWaveByRoot pins the two id forms that carry no sequence
+// number: a bare t<root> and a rendered wave-tag t<root>.<path>* both
+// answer with every wave under that root.
+func TestProvenanceWaveByRoot(t *testing.T) {
+	e := obs.NewEngine(obs.Options{SampleRate: 1})
+	addr, err := e.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	base := time.Now().Add(-time.Minute)
+	seedLineage(e, "", 7, 1, base, "src", "sink")
+	seedLineage(e, "", 7, 2, base.Add(time.Second), "src", "sink")
+	seedLineage(e, "", 8, 0, base.Add(2*time.Second), "src", "sink")
+
+	for _, id := range []string{"t7", "t7.1.1*", "t7.1"} {
+		body, code := get(t, "http://"+addr+"/provenance?wave="+url.QueryEscape(id))
+		if code != http.StatusOK {
+			t.Fatalf("wave=%s status %d: %s", id, code, body)
+		}
+		var out struct {
+			Waves []struct {
+				ID   string `json:"id"`
+				Hops []struct {
+					Actor string `json:"actor"`
+				} `json:"hops"`
+			} `json:"waves"`
+		}
+		if err := json.Unmarshal([]byte(body), &out); err != nil {
+			t.Fatalf("wave=%s JSON: %v\n%s", id, err, body)
+		}
+		ids := map[string]int{}
+		for _, w := range out.Waves {
+			ids[w.ID] = len(w.Hops)
+		}
+		if len(ids) != 2 || ids["t7-1"] != 2 || ids["t7-2"] != 2 {
+			t.Errorf("wave=%s = %v, want t7-1 and t7-2 with 2 hops each", id, ids)
+		}
 	}
 }
 
@@ -256,7 +300,7 @@ func TestClusterScopeAndRollup(t *testing.T) {
 	base := time.Now().Add(-time.Minute)
 	seedLineage(eA, "alpha", 7, 1, base, "src", "bridgeOut")
 	seedLineage(eB, "beta", 7, 1, base.Add(10*time.Millisecond), "bridgeIn", "sink")
-	eB.Prov().NoteOrigin(7, 1, uint64(dist.NodeIDOf("alpha")))
+	eB.Lineage().NoteOrigin(7, 1, uint64(dist.NodeIDOf("alpha")))
 
 	var wave struct {
 		Wave struct {
@@ -344,70 +388,87 @@ func TestClusterScopeAndRollup(t *testing.T) {
 	}
 }
 
-// TestOneRecordOneStore pins the single write: with provenance on, a traced
-// run records each sampled firing once (the store's Recorded equals the
-// spans counter, and there is only the one store), and /trace/{id} and
-// /provenance?wave={id} render the same hops in the same order.
+// TestOneRecordOneStore pins the single write whatever Options.Provenance
+// says: a traced run records each sampled firing once (the store's Recorded
+// equals the spans counter), and /provenance serves the recorded hops
+// unchanged, by full id and under their root alike.
 func TestOneRecordOneStore(t *testing.T) {
-	eng := obs.NewEngine(obs.Options{SampleRate: 1, Provenance: true})
-	if eng.Prov() != eng.Lineage() {
-		t.Fatal("provenance and trace views read different stores")
-	}
-	addr, err := eng.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	for _, provenance := range []bool{true, false} {
+		t.Run(fmt.Sprintf("provenance=%v", provenance), func(t *testing.T) {
+			eng := obs.NewEngine(obs.Options{SampleRate: 1, Provenance: provenance})
+			addr, err := eng.Serve("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
 
-	const events = 40
-	st := stats.NewRegistry()
-	wf, sink := buildObsPipeline(events, 0)
-	d := stafilos.NewDirector(sched.NewFIFO(), stafilos.Options{SourceInterval: 5, Stats: st, Obs: eng})
-	if err := d.Setup(wf); err != nil {
-		t.Fatal(err)
-	}
-	eng.Watch(wf.Name(), wf, st, d)
-	if err := d.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.Tokens) != events {
-		t.Fatalf("sink got %d events, want %d", len(sink.Tokens), events)
-	}
+			const events = 40
+			st := stats.NewRegistry()
+			wf, sink := buildObsPipeline(events, 0)
+			d := stafilos.NewDirector(sched.NewFIFO(), stafilos.Options{SourceInterval: 5, Stats: st, Obs: eng})
+			if err := d.Setup(wf); err != nil {
+				t.Fatal(err)
+			}
+			eng.Watch(wf.Name(), wf, st, d)
+			if err := d.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if len(sink.Tokens) != events {
+				t.Fatalf("sink got %d events, want %d", len(sink.Tokens), events)
+			}
 
-	body, _ := get(t, "http://"+addr+"/metrics")
-	for _, series := range []string{"confluence_trace_spans_total", "confluence_prov_recorded_total"} {
-		if want := fmt.Sprintf("\n%s %d\n", series, 5*events); !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q", strings.TrimSpace(want))
-		}
-	}
+			body, _ := get(t, "http://"+addr+"/metrics")
+			for _, series := range []string{"confluence_trace_spans_total", "confluence_prov_recorded_total"} {
+				if want := fmt.Sprintf("\n%s %d\n", series, 5*events); !strings.Contains(body, want) {
+					t.Errorf("/metrics missing %q", strings.TrimSpace(want))
+				}
+			}
 
-	ref := eng.Lineage().Recent(1)[0]
-	id := obs.FormatWaveID(ref.Root, ref.RootSeq)
-	var tr struct {
-		Waves []struct {
-			Spans []map[string]any `json:"spans"`
-		} `json:"waves"`
-	}
-	var pv struct {
-		Wave struct {
-			Hops []map[string]any `json:"hops"`
-		} `json:"wave"`
-	}
-	body, _ = get(t, "http://"+addr+"/trace/"+id)
-	if err := json.Unmarshal([]byte(body), &tr); err != nil || len(tr.Waves) != 1 {
-		t.Fatalf("/trace/%s = %s (err %v)", id, body, err)
-	}
-	body, _ = get(t, "http://"+addr+"/provenance?wave="+id)
-	if err := json.Unmarshal([]byte(body), &pv); err != nil {
-		t.Fatalf("/provenance?wave=%s = %s (err %v)", id, body, err)
-	}
-	if len(pv.Wave.Hops) != 5 || !reflect.DeepEqual(tr.Waves[0].Spans, pv.Wave.Hops) {
-		t.Errorf("views differ:\n/trace      %v\n/provenance %v", tr.Waves[0].Spans, pv.Wave.Hops)
+			ref := eng.Lineage().Recent(1)[0]
+			id := obs.FormatWaveID(ref.Root, ref.RootSeq)
+			var pv struct {
+				Wave struct {
+					Hops []map[string]any `json:"hops"`
+				} `json:"wave"`
+			}
+			body, _ = get(t, "http://"+addr+"/provenance?wave="+id)
+			if err := json.Unmarshal([]byte(body), &pv); err != nil {
+				t.Fatalf("/provenance?wave=%s = %s (err %v)", id, body, err)
+			}
+			var stored []map[string]any
+			raw, _ := json.Marshal(obs.HopViews(eng.Lineage().Wave(ref.Root, ref.RootSeq)))
+			if err := json.Unmarshal(raw, &stored); err != nil {
+				t.Fatal(err)
+			}
+			if len(pv.Wave.Hops) != 5 || !reflect.DeepEqual(stored, pv.Wave.Hops) {
+				t.Errorf("served hops differ from the record:\nstore       %v\n/provenance %v", stored, pv.Wave.Hops)
+			}
+
+			var byRoot struct {
+				Waves []struct {
+					ID   string           `json:"id"`
+					Hops []map[string]any `json:"hops"`
+				} `json:"waves"`
+			}
+			body, _ = get(t, fmt.Sprintf("http://%s/provenance?wave=t%d", addr, ref.Root))
+			if err := json.Unmarshal([]byte(body), &byRoot); err != nil {
+				t.Fatalf("/provenance?wave=t%d = %s (err %v)", ref.Root, body, err)
+			}
+			found := false
+			for _, w := range byRoot.Waves {
+				if w.ID == id {
+					found = reflect.DeepEqual(w.Hops, pv.Wave.Hops)
+				}
+			}
+			if !found {
+				t.Errorf("root query did not serve %s as recorded: %s", id, body)
+			}
+		})
 	}
 }
 
-// TestTraceIndexLimit pins the /trace/?limit= satellite: the index honors
-// the bound newest-first and rejects malformed values.
+// TestTraceIndexLimit pins the index's ?limit=: it honors the bound
+// newest-first and rejects malformed values.
 func TestTraceIndexLimit(t *testing.T) {
 	e := obs.NewEngine(obs.Options{SampleRate: 1})
 	addr, err := e.Serve("127.0.0.1:0")
@@ -424,9 +485,9 @@ func TestTraceIndexLimit(t *testing.T) {
 			ID string `json:"id"`
 		} `json:"waves"`
 	}
-	body, code := get(t, "http://"+addr+"/trace/?limit=2")
+	body, code := get(t, "http://"+addr+"/provenance?limit=2")
 	if code != http.StatusOK {
-		t.Fatalf("/trace/?limit=2 status %d", code)
+		t.Fatalf("/provenance?limit=2 status %d", code)
 	}
 	if err := json.Unmarshal([]byte(body), &idx); err != nil {
 		t.Fatal(err)
@@ -435,7 +496,7 @@ func TestTraceIndexLimit(t *testing.T) {
 		t.Errorf("limited index = %+v, want [t5-0 t4-0]", idx.Waves)
 	}
 	for _, bad := range []string{"0", "-3", "abc"} {
-		if _, code := get(t, "http://"+addr+"/trace/?limit="+bad); code != http.StatusBadRequest {
+		if _, code := get(t, "http://"+addr+"/provenance?limit="+bad); code != http.StatusBadRequest {
 			t.Errorf("limit=%s status %d, want 400", bad, code)
 		}
 	}

@@ -6,8 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/metrics"
@@ -21,9 +19,9 @@ type server struct {
 
 // Handler returns the introspection handler: /metrics (Prometheus text
 // exposition), /debug/pprof/*, /workflows (JSON snapshot of watched
-// workflows), /trace/ (wave-tag lineage views), /healthz (readiness) and any
-// routes added via Mount. Dispatch goes through an atomically-swapped mux so
-// Mount works while the server runs.
+// workflows), /provenance (wave-tag lineage queries), /latency, /cluster,
+// /healthz (readiness) and any routes added via Mount. Dispatch goes
+// through an atomically-swapped mux so Mount works while the server runs.
 func (e *Engine) Handler() http.Handler {
 	e.liveMux.Store(e.buildMux())
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -52,7 +50,6 @@ func (e *Engine) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", e.handleMetrics)
 	mux.HandleFunc("/workflows", e.handleWorkflows)
-	mux.HandleFunc("/trace/", e.handleTrace)
 	mux.HandleFunc("/provenance", e.handleProvenance)
 	mux.HandleFunc("/latency", e.handleLatency)
 	mux.HandleFunc("/latency/wave/", e.handleLatencyWave)
@@ -69,7 +66,7 @@ func (e *Engine) buildMux() *http.ServeMux {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "confluence introspection: /metrics /workflows /trace/ /provenance /latency /cluster /healthz /debug/pprof/\n")
+		fmt.Fprint(w, "confluence introspection: /metrics /workflows /provenance /latency /cluster /healthz /debug/pprof/\n")
 	})
 	e.mu.Lock()
 	for pattern, h := range e.extra {
@@ -243,62 +240,6 @@ func (e *Engine) handleWorkflows(w http.ResponseWriter, _ *http.Request) {
 		out["latency"] = attribution
 	}
 	writeJSON(w, out)
-}
-
-// handleTrace serves /trace/ (recent wave index) and /trace/{wavetag} (the
-// wave's full actor path with per-hop timings). The id accepts the
-// canonical "t<root>-<rootseq>" form and rendered wave-tag strings.
-func (e *Engine) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/trace/")
-	if id == "" {
-		limit := 100
-		if ls := r.URL.Query().Get("limit"); ls != "" {
-			n, err := strconv.Atoi(ls)
-			if err != nil || n <= 0 {
-				http.Error(w, "limit must be a positive integer", http.StatusBadRequest)
-				return
-			}
-			limit = n
-		}
-		refs := e.store.Recent(limit) // newest-first
-		type waveRefView struct {
-			ID    string `json:"id"`
-			Spans int    `json:"spans"`
-		}
-		out := make([]waveRefView, 0, len(refs))
-		for _, ref := range refs {
-			out = append(out, waveRefView{ID: FormatWaveID(ref.Root, ref.RootSeq), Spans: ref.Hops})
-		}
-		writeJSON(w, map[string]any{
-			"enabled": e.tracer.Enabled(),
-			"waves":   out,
-		})
-		return
-	}
-	root, rootSeq, hasSeq, err := ParseWaveID(id)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	type waveView struct {
-		ID    string    `json:"id"`
-		Spans []HopView `json:"spans"`
-	}
-	var waves []waveView
-	if hasSeq {
-		if hops := e.store.Wave(root, rootSeq); len(hops) > 0 {
-			waves = append(waves, waveView{ID: FormatWaveID(root, rootSeq), Spans: HopViews(hops)})
-		}
-	} else {
-		for _, hops := range e.store.WavesByRoot(root) {
-			waves = append(waves, waveView{ID: FormatWaveID(root, hops[0].RootSeq), Spans: HopViews(hops)})
-		}
-	}
-	if len(waves) == 0 {
-		http.Error(w, "wave not traced (not sampled, or evicted)", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, map[string]any{"waves": waves})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -24,7 +24,7 @@ import (
 // a live demo pipeline (with a pass-all shedder) under the 4-worker parallel
 // director, scrapes /metrics while the run is in flight, and checks every
 // endpoint afterwards: the Prometheus series the acceptance criteria name,
-// the /workflows JSON snapshot, the /trace/ index and a /trace/{wavetag}
+// the /workflows JSON snapshot, the /provenance index and one wave's
 // lineage, plus /debug/pprof/.
 func TestServerSmoke(t *testing.T) {
 	eng := obs.NewEngine(obs.Options{SampleRate: 1})
@@ -190,51 +190,50 @@ func TestServerSmoke(t *testing.T) {
 		t.Errorf("/workflows shed = %+v", sh)
 	}
 
-	// /trace/ index, then one wave's lineage.
-	body, code = get(t, base+"/trace/")
+	// /provenance index, then one wave's lineage.
+	body, code = get(t, base+"/provenance")
 	if code != http.StatusOK {
-		t.Fatalf("/trace/ status %d", code)
+		t.Fatalf("/provenance status %d", code)
 	}
 	var idx struct {
-		Enabled bool `json:"enabled"`
-		Waves   []struct {
-			ID    string `json:"id"`
-			Spans int    `json:"spans"`
+		Waves []struct {
+			ID   string `json:"id"`
+			Hops int    `json:"hops"`
 		} `json:"waves"`
 	}
 	if err := json.Unmarshal([]byte(body), &idx); err != nil {
-		t.Fatalf("/trace/ JSON: %v\n%s", err, body)
+		t.Fatalf("/provenance JSON: %v\n%s", err, body)
 	}
-	if !idx.Enabled || len(idx.Waves) == 0 {
-		t.Fatalf("/trace/ = enabled %v with %d waves", idx.Enabled, len(idx.Waves))
+	if len(idx.Waves) == 0 {
+		t.Fatalf("/provenance index lists no waves: %s", body)
 	}
-	body, code = get(t, base+"/trace/"+idx.Waves[0].ID)
+	body, code = get(t, base+"/provenance?wave="+idx.Waves[0].ID)
 	if code != http.StatusOK {
-		t.Fatalf("/trace/%s status %d: %s", idx.Waves[0].ID, code, body)
+		t.Fatalf("/provenance?wave=%s status %d: %s", idx.Waves[0].ID, code, body)
 	}
-	var tr struct {
-		Waves []struct {
-			ID    string `json:"id"`
-			Spans []struct {
+	var pv struct {
+		Wave struct {
+			ID   string `json:"id"`
+			Hops []struct {
 				Actor       string  `json:"actor"`
 				CostSeconds float64 `json:"cost_seconds"`
-			} `json:"spans"`
-		} `json:"waves"`
+			} `json:"hops"`
+		} `json:"wave"`
 	}
-	if err := json.Unmarshal([]byte(body), &tr); err != nil {
-		t.Fatalf("/trace/{id} JSON: %v\n%s", err, body)
+	if err := json.Unmarshal([]byte(body), &pv); err != nil {
+		t.Fatalf("/provenance?wave= JSON: %v\n%s", err, body)
 	}
-	if len(tr.Waves) != 1 || len(tr.Waves[0].Spans) == 0 {
-		t.Fatalf("/trace/%s = %s", idx.Waves[0].ID, body)
+	if len(pv.Wave.Hops) == 0 {
+		t.Fatalf("/provenance?wave=%s = %s", idx.Waves[0].ID, body)
 	}
-	if first := tr.Waves[0].Spans[0].Actor; first != "src" {
+	if first := pv.Wave.Hops[0].Actor; first != "src" {
 		t.Errorf("lineage starts at %q, want src", first)
 	}
 
-	if _, code = get(t, base+"/trace/t999999999-42"); code != http.StatusNotFound {
+	if _, code = get(t, base+"/provenance?wave=t999999999-42"); code != http.StatusNotFound {
 		t.Errorf("unknown wave status %d, want 404", code)
 	}
-	if _, code = get(t, base+"/trace/bogus"); code != http.StatusBadRequest {
+	if _, code = get(t, base+"/provenance?wave=bogus"); code != http.StatusBadRequest {
 		t.Errorf("malformed wave id status %d, want 400", code)
 	}
 	if _, code = get(t, base+"/debug/pprof/"); code != http.StatusOK {

@@ -134,7 +134,7 @@ func NewItemAt(a model.Actor, p *model.Port, w *window.Window, at time.Time) Rea
 //
 // Concurrency: Mu is the policy lock. Concrete schedulers take it in every
 // exported Scheduler method and call the unexported/helper layer with it
-// held; Base helpers (SetState, SwapQueues, ClaimRunnable, Register, …)
+// held; Base helpers (SetState, ClaimRunnable, Register, …)
 // assume the caller holds Mu. HasWork and TotalQueued lock Mu themselves —
 // they are called by directors, never from inside a policy.
 type Base struct {
@@ -239,18 +239,6 @@ func (b *Base) SetState(e *Entry, s State) {
 		b.seq++
 		e.enqueueSeq = b.seq
 		b.WaitingQ.Push(e)
-	}
-}
-
-// SwapQueues exchanges the active and waiting queues (QBS's
-// re-quantification swap), fixing entry states to match their new queue.
-func (b *Base) SwapQueues() {
-	b.ActiveQ, b.WaitingQ = b.WaitingQ, b.ActiveQ
-	for _, e := range b.ActiveQ.entries {
-		e.State = Active
-	}
-	for _, e := range b.WaitingQ.entries {
-		e.State = Waiting
 	}
 }
 
