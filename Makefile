@@ -20,13 +20,16 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint runs the standard toolchain vet plus confvet, the repo's own
+# lint runs the standard toolchain vet, a gofmt check over every tracked Go
+# file (the nested benchmark module included), and confvet, the repo's own
 # engine-invariant analyzers (see DESIGN.md, sections "Static analysis"
 # and "Dataflow analysis"): the five syntactic checks plus the poolsafe /
 # ringsafe / waitersafe dataflow tier. The ./... pattern covers the whole
-# module — internal/, cmd/ and examples/ alike. Both legs must be clean
+# module — internal/, cmd/ and examples/ alike. Every leg must be clean
 # for the tree to be mergeable; CI runs lint, so vet needs no job of its own.
 lint: vet
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/confvet ./...
 
 # bench-lint times one full confvet pass (load + type-check + every

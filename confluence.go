@@ -61,8 +61,6 @@ type (
 	FireContext = model.FireContext
 	// Director executes a workflow under a model of computation.
 	Director = model.Director
-	// Manager manages a single workflow execution.
-	Manager = model.Manager
 )
 
 // Token values.

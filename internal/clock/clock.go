@@ -7,13 +7,13 @@
 // modelled cost, which makes the experiments deterministic and allows a
 // 600-second run to execute in milliseconds.
 //
-// Both clocks carry a timer queue. Window-formation timeouts ("window
-// timeout events" in the paper) are registered as timers; the directors poll
-// FireDue to deliver them, so timeout handling is identical in both modes.
+// Window-formation timeouts ("window timeout events" in the paper) are not
+// the clock's job: each input port's window operator keeps its own deadline
+// heap, and the directors read it through Inbox.NextDeadline and compare it
+// with Now, so timeout handling is identical in both modes.
 package clock
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 )
@@ -25,117 +25,6 @@ type Clock interface {
 	// Advance moves a virtual clock forward by d. On a real clock it is a
 	// no-op: real time advances on its own.
 	Advance(d time.Duration)
-	// Schedule registers fn to run when the clock reaches at. The function
-	// runs synchronously from FireDue, never from a background goroutine.
-	Schedule(at time.Time, fn func()) *Timer
-	// FireDue runs every scheduled timer whose deadline is <= Now, in
-	// deadline order, and returns how many fired.
-	FireDue() int
-	// NextDeadline reports the earliest pending timer deadline.
-	NextDeadline() (time.Time, bool)
-}
-
-// Timer is a handle to a scheduled callback.
-type Timer struct {
-	at    time.Time
-	seq   uint64
-	fn    func()
-	index int // heap index, -1 once removed
-}
-
-// Deadline returns the time the timer is scheduled to fire.
-func (t *Timer) Deadline() time.Time { return t.at }
-
-// timerHeap orders timers by deadline, then registration sequence so that
-// ties fire in registration order.
-type timerHeap []*Timer
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
-}
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *timerHeap) Push(x any) {
-	t := x.(*Timer)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.index = -1
-	*h = old[:n-1]
-	return t
-}
-
-// timers is the shared timer-queue implementation.
-type timers struct {
-	mu   sync.Mutex
-	heap timerHeap
-	seq  uint64
-}
-
-func (q *timers) schedule(at time.Time, fn func()) *Timer {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.seq++
-	t := &Timer{at: at, seq: q.seq, fn: fn}
-	heap.Push(&q.heap, t)
-	return t
-}
-
-func (q *timers) cancel(t *Timer) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if t.index >= 0 && t.index < len(q.heap) && q.heap[t.index] == t {
-		heap.Remove(&q.heap, t.index)
-	}
-}
-
-func (q *timers) next() (time.Time, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.heap) == 0 {
-		return time.Time{}, false
-	}
-	return q.heap[0].at, true
-}
-
-// fireDue pops and runs timers due at or before now. Callbacks run outside
-// the lock so they may schedule further timers.
-func (q *timers) fireDue(now time.Time) int {
-	n := 0
-	for {
-		q.mu.Lock()
-		if len(q.heap) == 0 || q.heap[0].at.After(now) {
-			q.mu.Unlock()
-			return n
-		}
-		t := heap.Pop(&q.heap).(*Timer)
-		q.mu.Unlock()
-		t.fn()
-		n++
-	}
-}
-
-// Cancel removes a pending timer from c. Cancelling an already-fired or
-// already-cancelled timer is a no-op.
-func Cancel(c Clock, t *Timer) {
-	switch cc := c.(type) {
-	case *Virtual:
-		cc.timers.cancel(t)
-	case *Real:
-		cc.timers.cancel(t)
-	}
 }
 
 // Virtual is a deterministic clock that only moves when told to. It starts
@@ -143,7 +32,6 @@ func Cancel(c Clock, t *Timer) {
 type Virtual struct {
 	mu  sync.Mutex
 	now time.Time
-	timers
 }
 
 // NewVirtual returns a virtual clock positioned at the Unix epoch.
@@ -178,28 +66,13 @@ func (v *Virtual) AdvanceTo(t time.Time) {
 	v.mu.Unlock()
 }
 
-// Schedule implements Clock.
-func (v *Virtual) Schedule(at time.Time, fn func()) *Timer {
-	return v.timers.schedule(at, fn)
-}
-
-// FireDue implements Clock.
-func (v *Virtual) FireDue() int { return v.timers.fireDue(v.Now()) }
-
-// NextDeadline implements Clock.
-func (v *Virtual) NextDeadline() (time.Time, bool) { return v.timers.next() }
-
 // Elapsed returns the virtual time since the epoch start.
 func (v *Virtual) Elapsed() time.Duration {
 	return v.Now().Sub(time.Unix(0, 0).UTC())
 }
 
-// Real reads the wall clock. Timers still live in an explicit queue that the
-// driving director polls via FireDue, so timeout semantics match virtual
-// mode exactly.
-type Real struct {
-	timers
-}
+// Real reads the wall clock.
+type Real struct{}
 
 // NewReal returns a wall-clock backed Clock.
 func NewReal() *Real { return &Real{} }
@@ -209,14 +82,3 @@ func (*Real) Now() time.Time { return time.Now() }
 
 // Advance implements Clock (no-op: real time advances on its own).
 func (*Real) Advance(time.Duration) {}
-
-// Schedule implements Clock.
-func (r *Real) Schedule(at time.Time, fn func()) *Timer {
-	return r.timers.schedule(at, fn)
-}
-
-// FireDue implements Clock.
-func (r *Real) FireDue() int { return r.timers.fireDue(time.Now()) }
-
-// NextDeadline implements Clock.
-func (r *Real) NextDeadline() (time.Time, bool) { return r.timers.next() }

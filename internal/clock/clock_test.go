@@ -1,10 +1,7 @@
 package clock
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -44,112 +41,6 @@ func TestVirtualAdvanceTo(t *testing.T) {
 	}
 }
 
-func TestTimersFireInDeadlineOrder(t *testing.T) {
-	v := NewVirtual()
-	var fired []int
-	v.Schedule(time.Unix(30, 0).UTC(), func() { fired = append(fired, 30) })
-	v.Schedule(time.Unix(10, 0).UTC(), func() { fired = append(fired, 10) })
-	v.Schedule(time.Unix(20, 0).UTC(), func() { fired = append(fired, 20) })
-
-	if n := v.FireDue(); n != 0 {
-		t.Fatalf("FireDue before advance fired %d timers", n)
-	}
-	dl, ok := v.NextDeadline()
-	if !ok || !dl.Equal(time.Unix(10, 0).UTC()) {
-		t.Fatalf("NextDeadline = %v, %v; want t=10", dl, ok)
-	}
-
-	v.AdvanceTo(time.Unix(25, 0).UTC())
-	if n := v.FireDue(); n != 2 {
-		t.Fatalf("FireDue fired %d, want 2", n)
-	}
-	v.AdvanceTo(time.Unix(31, 0).UTC())
-	if n := v.FireDue(); n != 1 {
-		t.Fatalf("FireDue fired %d, want 1", n)
-	}
-	want := []int{10, 20, 30}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired order %v, want %v", fired, want)
-		}
-	}
-	if _, ok := v.NextDeadline(); ok {
-		t.Error("NextDeadline reported pending timer after all fired")
-	}
-}
-
-func TestTimerTiesFireInRegistrationOrder(t *testing.T) {
-	v := NewVirtual()
-	at := time.Unix(5, 0).UTC()
-	var fired []int
-	for i := 0; i < 10; i++ {
-		i := i
-		v.Schedule(at, func() { fired = append(fired, i) })
-	}
-	v.AdvanceTo(at)
-	v.FireDue()
-	for i, got := range fired {
-		if got != i {
-			t.Fatalf("tie order = %v, want ascending", fired)
-		}
-	}
-}
-
-func TestCancel(t *testing.T) {
-	v := NewVirtual()
-	fired := false
-	tm := v.Schedule(time.Unix(10, 0).UTC(), func() { fired = true })
-	Cancel(v, tm)
-	v.AdvanceTo(time.Unix(20, 0).UTC())
-	if n := v.FireDue(); n != 0 || fired {
-		t.Errorf("cancelled timer fired (n=%d, fired=%v)", n, fired)
-	}
-	// Double-cancel is a no-op.
-	Cancel(v, tm)
-}
-
-func TestCancelOneOfMany(t *testing.T) {
-	v := NewVirtual()
-	var fired []int
-	var handles []*Timer
-	for i := 0; i < 5; i++ {
-		i := i
-		handles = append(handles, v.Schedule(time.Unix(int64(i+1), 0).UTC(), func() { fired = append(fired, i) }))
-	}
-	Cancel(v, handles[2])
-	v.AdvanceTo(time.Unix(100, 0).UTC())
-	v.FireDue()
-	want := []int{0, 1, 3, 4}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired %v, want %v", fired, want)
-		}
-	}
-}
-
-func TestTimerCallbackMaySchedule(t *testing.T) {
-	v := NewVirtual()
-	count := 0
-	var reschedule func()
-	reschedule = func() {
-		count++
-		if count < 5 {
-			v.Schedule(v.Now().Add(time.Second), reschedule)
-		}
-	}
-	v.Schedule(time.Unix(1, 0).UTC(), reschedule)
-	for i := 0; i < 10; i++ {
-		v.Advance(time.Second)
-		v.FireDue()
-	}
-	if count != 5 {
-		t.Errorf("chained timers fired %d times, want 5", count)
-	}
-}
-
 func TestRealClock(t *testing.T) {
 	r := NewReal()
 	before := time.Now()
@@ -160,88 +51,5 @@ func TestRealClock(t *testing.T) {
 	r.Advance(time.Hour) // no-op
 	if r.Now().Sub(now) > time.Minute {
 		t.Error("Advance affected real clock")
-	}
-	fired := false
-	r.Schedule(time.Now().Add(-time.Second), func() { fired = true })
-	if n := r.FireDue(); n != 1 || !fired {
-		t.Errorf("overdue real timer did not fire (n=%d)", n)
-	}
-}
-
-// Property: for any set of deadlines, FireDue after advancing past the max
-// fires all timers in sorted deadline order.
-func TestTimerOrderProperty(t *testing.T) {
-	f := func(offsets []uint16) bool {
-		if len(offsets) == 0 {
-			return true
-		}
-		v := NewVirtual()
-		var fired []int64
-		maxOff := int64(0)
-		for _, o := range offsets {
-			at := time.Unix(int64(o), 0).UTC()
-			if int64(o) > maxOff {
-				maxOff = int64(o)
-			}
-			v.Schedule(at, func() { fired = append(fired, at.Unix()) })
-		}
-		v.AdvanceTo(time.Unix(maxOff+1, 0).UTC())
-		v.FireDue()
-		if len(fired) != len(offsets) {
-			return false
-		}
-		return sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] })
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: random interleaving of schedule/cancel/advance never fires a
-// cancelled timer and fires every non-cancelled timer whose deadline passed.
-func TestTimerCancelProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		v := NewVirtual()
-		type entry struct {
-			tm        *Timer
-			at        int64
-			cancelled bool
-			fired     bool
-		}
-		var entries []*entry
-		for step := 0; step < 50; step++ {
-			switch rng.Intn(3) {
-			case 0: // schedule
-				e := &entry{at: v.Now().Unix() + int64(rng.Intn(20))}
-				e.tm = v.Schedule(time.Unix(e.at, 0).UTC(), func() { e.fired = true })
-				entries = append(entries, e)
-			case 1: // cancel a random entry
-				if len(entries) > 0 {
-					e := entries[rng.Intn(len(entries))]
-					if !e.fired {
-						Cancel(v, e.tm)
-						e.cancelled = true
-					}
-				}
-			case 2: // advance + fire
-				v.Advance(time.Duration(rng.Intn(10)) * time.Second)
-				v.FireDue()
-			}
-		}
-		v.Advance(time.Hour)
-		v.FireDue()
-		for _, e := range entries {
-			if e.cancelled && e.fired {
-				return false
-			}
-			if !e.cancelled && !e.fired {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }

@@ -78,30 +78,13 @@ func BenchmarkRingReceiverPut(b *testing.B) {
 	}
 }
 
-// BenchmarkBroadcastFanout measures one output port broadcasting a firing's
-// emissions to 4 downstream lock-free ring receivers, one event at a time.
-func BenchmarkBroadcastFanout(b *testing.B) {
-	benchmarkFanout(b, func(out *model.Port, evs []*event.Event) {
-		for _, ev := range evs {
-			out.Broadcast(ev)
-		}
-	})
-}
-
-// BenchmarkBroadcastBatchFanout measures the same fan-out through the
-// batched transport: one BroadcastBatch call delivers the firing's whole
-// emission set to each destination.
+// BenchmarkBroadcastBatchFanout measures one output port delivering a
+// firing's 64-event emission set to 4 downstream passthrough ring receivers:
+// one BroadcastBatch call delivers the whole set to each destination. Each
+// iteration drains and recycles every destination — leaving the rings full
+// would push deliveries onto the overflow slow path and grow it without
+// bound.
 func BenchmarkBroadcastBatchFanout(b *testing.B) {
-	benchmarkFanout(b, func(out *model.Port, evs []*event.Event) {
-		out.BroadcastBatch(evs)
-	})
-}
-
-// benchmarkFanout wires one output port to 4 passthrough ring receivers
-// and times delivering a 64-event emission set with deliver. Each iteration
-// drains and recycles every destination — leaving the rings full would push
-// deliveries onto the overflow slow path and grow it without bound.
-func benchmarkFanout(b *testing.B, deliver func(out *model.Port, evs []*event.Event)) {
 	clk := clock.NewVirtual()
 	pool := event.NewPool(1024)
 	wf := model.NewWorkflow("fanout")
@@ -120,7 +103,7 @@ func benchmarkFanout(b *testing.B, deliver func(out *model.Port, evs []*event.Ev
 	evs := benchEvents(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		deliver(src.Out(), evs)
+		src.Out().BroadcastBatch(evs)
 		for j, r := range recvs {
 			ws, _ := r.GetBatch(bufs[j][:0], len(evs))
 			bufs[j] = ws

@@ -325,41 +325,3 @@ func TestClusterRejects(t *testing.T) {
 		t.Error("duplicate node accepted")
 	}
 }
-
-func TestCodecRoundTrip(t *testing.T) {
-	vals := []value.Value{
-		value.Nil{},
-		value.Bool(true),
-		value.Int(-42),
-		value.Float(3.25),
-		value.Str("hello\nworld"),
-		value.List{value.Int(1), value.Str("x"), value.List{value.Float(0.5)}},
-		value.NewRecord("a", value.Int(1), "b", value.NewRecord("c", value.Bool(false))),
-	}
-	for _, v := range vals {
-		data, err := value.Encode(v)
-		if err != nil {
-			t.Fatalf("Encode(%v): %v", v, err)
-		}
-		back, err := value.Decode(data)
-		if err != nil {
-			t.Fatalf("Decode(%s): %v", data, err)
-		}
-		if !v.Equal(back) {
-			t.Errorf("round trip changed %v -> %v", v, back)
-		}
-		// Kind is preserved exactly (ints stay ints).
-		if v.Kind() != back.Kind() {
-			t.Errorf("kind changed: %v -> %v", v.Kind(), back.Kind())
-		}
-	}
-	if _, err := value.Decode([]byte("not json")); err == nil {
-		t.Error("garbage decoded")
-	}
-	if _, err := value.Decode([]byte(`{"t":"q"}`)); err == nil {
-		t.Error("unknown tag decoded")
-	}
-	if _, err := value.Decode([]byte(`{"t":"i","v":"nope"}`)); err == nil {
-		t.Error("mistyped payload decoded")
-	}
-}

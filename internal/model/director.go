@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Director is a model of computation: it defines the execution and
@@ -33,11 +32,12 @@ type Steppable interface {
 // ErrNotSetup is returned by Run when Setup has not completed successfully.
 var ErrNotSetup = errors.New("model: director not set up")
 
-// ManagerState enumerates the lifecycle of a managed workflow execution.
+// ManagerState enumerates the lifecycle of a managed workflow execution
+// (multiwf.Instance, driven by the Manager verbs of Figure 9).
 type ManagerState int
 
 const (
-	// Idle means the manager has not started yet.
+	// Idle means execution has not started yet.
 	Idle ManagerState = iota
 	// Running means the workflow is executing.
 	Running
@@ -61,145 +61,4 @@ func (s ManagerState) String() string {
 	default:
 		return fmt.Sprintf("ManagerState(%d)", int(s))
 	}
-}
-
-// Manager manages the execution of a single workflow, mirroring the
-// PtolemyII/Kepler Manager the paper's multi-workflow design drives with
-// initialize(), pause(), resume(), stop().
-type Manager struct {
-	wf  *Workflow
-	dir Director
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	state  ManagerState
-	cancel context.CancelFunc
-	done   chan struct{}
-	err    error
-}
-
-// NewManager pairs a workflow with the director that will execute it.
-func NewManager(wf *Workflow, dir Director) *Manager {
-	m := &Manager{wf: wf, dir: dir, done: make(chan struct{})}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-// Workflow returns the managed workflow.
-func (m *Manager) Workflow() *Workflow { return m.wf }
-
-// Director returns the managing director.
-func (m *Manager) Director() Director { return m.dir }
-
-// State returns the current lifecycle state.
-func (m *Manager) State() ManagerState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.state
-}
-
-// Initialize sets up the director and starts execution in a background
-// goroutine. Pause points are honored at director iteration boundaries for
-// Steppable directors; other directors run freely until Stop.
-func (m *Manager) Initialize(ctx context.Context) error {
-	m.mu.Lock()
-	if m.state != Idle {
-		m.mu.Unlock()
-		return fmt.Errorf("model: manager for %s already started", m.wf.Name())
-	}
-	m.state = Running
-	m.mu.Unlock()
-
-	if err := m.dir.Setup(m.wf); err != nil {
-		m.mu.Lock()
-		m.state = Stopped
-		m.mu.Unlock()
-		close(m.done)
-		return err
-	}
-	runCtx, cancel := context.WithCancel(ctx)
-	m.cancel = cancel
-	go func() {
-		defer close(m.done)
-		err := m.runLoop(runCtx)
-		m.mu.Lock()
-		m.state = Stopped
-		m.err = err
-		m.mu.Unlock()
-	}()
-	return nil
-}
-
-func (m *Manager) runLoop(ctx context.Context) error {
-	st, ok := m.dir.(Steppable)
-	if !ok {
-		return m.dir.Run(ctx)
-	}
-	for {
-		m.mu.Lock()
-		for m.state == Paused {
-			m.cond.Wait()
-		}
-		stopped := m.state == Stopped
-		m.mu.Unlock()
-		if stopped || ctx.Err() != nil {
-			return ctx.Err()
-		}
-		worked, err := st.Step()
-		if err != nil {
-			return err
-		}
-		if !worked {
-			return nil
-		}
-	}
-}
-
-// Pause suspends execution at the next iteration boundary.
-func (m *Manager) Pause() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.state == Running {
-		m.state = Paused
-	}
-}
-
-// Resume continues a paused execution.
-func (m *Manager) Resume() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.state == Paused {
-		m.state = Running
-		m.cond.Broadcast()
-	}
-}
-
-// Stop ends execution and waits for the run goroutine to exit.
-func (m *Manager) Stop() error {
-	m.mu.Lock()
-	prev := m.state
-	m.state = Stopped
-	m.cond.Broadcast()
-	m.mu.Unlock()
-	if m.cancel != nil {
-		m.cancel()
-	}
-	if prev == Idle {
-		return nil
-	}
-	<-m.done
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if errors.Is(m.err, context.Canceled) {
-		return nil
-	}
-	return m.err
-}
-
-// Wait blocks until execution finishes and returns its error.
-func (m *Manager) Wait() error {
-	<-m.done
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err
 }

@@ -1,10 +1,7 @@
 package model
 
 import (
-	"context"
-	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -220,7 +217,7 @@ func TestBroadcastReachesAllDestinations(t *testing.T) {
 
 	tk := event.NewTimekeeper()
 	ev := tk.External(value.Int(5), time.Unix(1, 0))
-	a.out.Broadcast(ev)
+	a.out.BroadcastBatch([]*event.Event{ev})
 	if len(rb.got) != 1 || len(rc.got) != 1 {
 		t.Fatalf("broadcast delivered %d/%d", len(rb.got), len(rc.got))
 	}
@@ -381,110 +378,6 @@ func TestFireContextEmptyAccessors(t *testing.T) {
 	ctx.StopWorkflow()
 	if !ctx.Stopped() {
 		t.Error("StopWorkflow did not set flag")
-	}
-}
-
-// stepDirector is a Steppable test director that performs n steps.
-type stepDirector struct {
-	steps  int32
-	limit  int32
-	setup  bool
-	failAt int32
-}
-
-func (d *stepDirector) Name() string { return "step" }
-func (d *stepDirector) Setup(*Workflow) error {
-	d.setup = true
-	return nil
-}
-func (d *stepDirector) Run(ctx context.Context) error {
-	for {
-		ok, err := d.Step()
-		if err != nil || !ok {
-			return err
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-	}
-}
-func (d *stepDirector) Step() (bool, error) {
-	n := atomic.AddInt32(&d.steps, 1)
-	if d.failAt > 0 && n >= d.failAt {
-		return false, errors.New("boom")
-	}
-	return n < d.limit, nil
-}
-
-func TestManagerLifecycle(t *testing.T) {
-	wf := NewWorkflow("m")
-	dir := &stepDirector{limit: 1000}
-	m := NewManager(wf, dir)
-	if m.State() != Idle {
-		t.Fatalf("initial state = %v", m.State())
-	}
-	if err := m.Initialize(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !dir.setup {
-		t.Error("director not set up")
-	}
-	if err := m.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if m.State() != Stopped {
-		t.Errorf("state after Wait = %v", m.State())
-	}
-	if got := atomic.LoadInt32(&dir.steps); got != 1000 {
-		t.Errorf("steps = %d, want 1000", got)
-	}
-	if err := m.Initialize(context.Background()); err == nil {
-		t.Error("re-initialize accepted")
-	}
-}
-
-func TestManagerPauseResume(t *testing.T) {
-	wf := NewWorkflow("m")
-	dir := &stepDirector{limit: 1 << 30}
-	m := NewManager(wf, dir)
-	if err := m.Initialize(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	m.Pause()
-	// Give the loop a moment to hit the pause point, then confirm progress
-	// stops.
-	time.Sleep(10 * time.Millisecond)
-	before := atomic.LoadInt32(&dir.steps)
-	time.Sleep(20 * time.Millisecond)
-	after := atomic.LoadInt32(&dir.steps)
-	if after-before > 1 {
-		t.Errorf("steps advanced while paused: %d -> %d", before, after)
-	}
-	if m.State() != Paused {
-		t.Errorf("state = %v, want paused", m.State())
-	}
-	m.Resume()
-	time.Sleep(10 * time.Millisecond)
-	if got := atomic.LoadInt32(&dir.steps); got == after {
-		t.Error("steps did not advance after resume")
-	}
-	if err := m.Stop(); err != nil {
-		t.Fatalf("Stop: %v", err)
-	}
-	if m.State() != Stopped {
-		t.Errorf("state = %v, want stopped", m.State())
-	}
-}
-
-func TestManagerStepError(t *testing.T) {
-	wf := NewWorkflow("m")
-	dir := &stepDirector{limit: 1 << 30, failAt: 5}
-	m := NewManager(wf, dir)
-	if err := m.Initialize(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Wait(); err == nil || err.Error() != "boom" {
-		t.Errorf("Wait = %v, want boom", err)
 	}
 }
 

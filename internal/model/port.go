@@ -50,18 +50,12 @@ type Port struct {
 	// recv is the director-installed receiver (input ports only).
 	recv Receiver
 	// batch is recv's batched fast path, cached at SetReceiver time so
-	// Broadcast does not repeat the type assertion per delivery.
+	// BroadcastBatch does not repeat the type assertion per delivery.
 	batch BatchReceiver
 	// dests are the input ports this output port broadcasts to.
 	dests []*Port
 	// sources are the output ports feeding this input port (fan-in).
 	sources []*Port
-	// bcast1 is the reusable length-1 batch Broadcast routes through, so
-	// both transport entry points share the batched fan-out path without a
-	// per-call slice allocation. Safe because an output port broadcasts
-	// only from its owning actor's firing, which is never concurrent with
-	// itself.
-	bcast1 [1]*event.Event
 }
 
 // Name returns the port name, unique within its actor and direction.
@@ -116,19 +110,6 @@ func (p *Port) Sources() []*Port { return p.sources }
 // Connected reports whether the port participates in any channel.
 func (p *Port) Connected() bool {
 	return len(p.dests) > 0 || len(p.sources) > 0
-}
-
-// Broadcast delivers ev to every connected receiver. The director calls it
-// after finalizing the event's stamps. It routes through BroadcastBatch
-// with the port's reusable length-1 batch so both entry points share the
-// optimized fan-out path.
-//
-//confvet:hotpath
-//confvet:noalloc
-func (p *Port) Broadcast(ev *event.Event) {
-	p.bcast1[0] = ev
-	p.BroadcastBatch(p.bcast1[:1])
-	p.bcast1[0] = nil
 }
 
 // BroadcastBatch delivers a firing's whole emission set for this port to

@@ -3,6 +3,7 @@ package multiwf_test
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -127,6 +128,47 @@ func TestGlobalPauseResume(t *testing.T) {
 	}
 	if len(sinkA.Tokens) != 300 || len(sinkB.Tokens) != 300 {
 		t.Errorf("tokens = %d/%d, want 300/300", len(sinkA.Tokens), len(sinkB.Tokens))
+	}
+}
+
+// failingDirector is an SCWF director whose Step fails at step failAt.
+type failingDirector struct {
+	*stafilos.Director
+	steps, failAt int
+}
+
+var errStep = errors.New("step failed")
+
+func (d *failingDirector) Step() (bool, error) {
+	if d.steps++; d.steps == d.failAt {
+		return false, errStep
+	}
+	return d.Director.Step()
+}
+
+// TestGlobalSurfacesInstanceError: a Step error stops only its own
+// instance; the others run to completion and Run reports the failure,
+// naming the instance.
+func TestGlobalSurfacesInstanceError(t *testing.T) {
+	g := multiwf.NewGlobal()
+	wfOK, dirOK, sinkOK := mkInstance("ok", 50)
+	wfBad, dirBad, _ := mkInstance("bad", 50)
+	if _, err := g.Add("ok", wfOK, dirOK, 1); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := g.Add("bad", wfBad, &failingDirector{Director: dirBad.(*stafilos.Director), failAt: 5}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = g.Run(context.Background())
+	if !errors.Is(err, errStep) || !strings.Contains(err.Error(), "instance bad") {
+		t.Errorf("Run = %v, want an error wrapping %v that names instance bad", err, errStep)
+	}
+	if !errors.Is(bad.Err(), errStep) {
+		t.Errorf("bad.Err() = %v, want %v", bad.Err(), errStep)
+	}
+	if len(sinkOK.Tokens) != 50 {
+		t.Errorf("ok delivered %d tokens, want 50", len(sinkOK.Tokens))
 	}
 }
 

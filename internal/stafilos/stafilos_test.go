@@ -122,6 +122,21 @@ func TestStatisticsCollectedDuringRun(t *testing.T) {
 	}
 }
 
+// TestInputRateCountsEachEventOnce: on SCWF an event is seen twice — the
+// receiver records its arrival and the firing records its consumption — and
+// the input rate must count it once. For the 1:1 double actor fed at 100
+// events/s, input and output rates agree.
+func TestInputRateCountsEachEventOnce(t *testing.T) {
+	d, _ := runPipeline(t, sched.NewQBS(0), 2000)
+	st := d.Stats().Get("double")
+	if st.OutputRate <= 0 {
+		t.Fatalf("OutputRate = %v, want a measured rate", st.OutputRate)
+	}
+	if ratio := st.InputRate / st.OutputRate; ratio < 0.9 || ratio > 1.1 {
+		t.Errorf("InputRate = %.1f, OutputRate = %.1f: want within 10%%", st.InputRate, st.OutputRate)
+	}
+}
+
 func TestWindowedActorUnderSCWF(t *testing.T) {
 	// A 4/1 group-by window actor (the stopped-car detection shape) fed
 	// interleaved groups.

@@ -42,13 +42,16 @@ type Actor struct {
 	// input queues (recorded by receivers, independent of firings).
 	Arrivals int64
 	// InputRate and OutputRate are recent events/second, measured over
-	// rateWindow.
+	// rateWindow. InputRate counts arrivals when the window saw any and
+	// consumed events otherwise, so an event that is both delivered to a
+	// receiver and consumed by a firing is counted once.
 	InputRate  float64
 	OutputRate float64
 
 	// rate measurement state
 	winStart time.Time
-	winIn    int64
+	winArr   int64
+	winCons  int64
 	winOut   int64
 	rateInit bool
 }
@@ -118,7 +121,7 @@ func (e *Entry) RecordFirings(n int, cost time.Duration, consumed, produced int,
 	a.InputEvents += int64(consumed)
 	a.OutputEvents += int64(produced)
 	a.roll(now)
-	a.winIn += int64(consumed)
+	a.winCons += int64(consumed)
 	a.winOut += int64(produced)
 }
 
@@ -130,7 +133,7 @@ func (e *Entry) RecordArrival(n int, now time.Time) {
 	defer e.mu.Unlock()
 	e.a.Arrivals += int64(n)
 	e.a.roll(now)
-	e.a.winIn += int64(n)
+	e.a.winArr += int64(n)
 }
 
 // Get returns a copy of the entry's statistics.
@@ -191,9 +194,13 @@ func (a *Actor) roll(now time.Time) {
 		return
 	}
 	sec := elapsed.Seconds()
-	a.InputRate = float64(a.winIn) / sec
+	in := a.winArr
+	if in == 0 {
+		in = a.winCons
+	}
+	a.InputRate = float64(in) / sec
 	a.OutputRate = float64(a.winOut) / sec
-	a.winIn, a.winOut = 0, 0
+	a.winArr, a.winCons, a.winOut = 0, 0, 0
 	a.winStart = now
 }
 

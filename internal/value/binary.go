@@ -1,8 +1,7 @@
 // Binary codec for Values: the wire format used by the distributed bridges
-// (internal/dist). Unlike the JSON codec in codec.go — which is
-// human-readable and schema-tolerant — this format is built for the bridge
-// hot path: encoding appends into a caller-owned buffer without allocating,
-// and decoding performs one allocation per composite value.
+// (internal/dist) when events cross node boundaries. It is built for the
+// bridge hot path: encoding appends into a caller-owned buffer without
+// allocating, and decoding performs one allocation per composite value.
 //
 // Layout: one tag byte followed by a kind-specific payload.
 //
@@ -84,8 +83,7 @@ func AppendBinary(buf []byte, v Value) []byte {
 		}
 		return buf
 	default:
-		// Foreign Value implementations degrade to their canonical string,
-		// mirroring what the JSON codec would surface.
+		// Foreign Value implementations degrade to their canonical string.
 		s := v.String()
 		buf = append(buf, binString)
 		buf = binary.AppendUvarint(buf, uint64(len(s)))

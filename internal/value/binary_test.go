@@ -2,7 +2,9 @@ package value_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/value"
 )
@@ -39,6 +41,65 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if v.Kind() != back.Kind() {
 			t.Errorf("kind changed: %v -> %v", v.Kind(), back.Kind())
 		}
+	}
+}
+
+// Property: AppendBinary/DecodeBinary round-trips arbitrary generated
+// records of int/float/string/bool/list fields, consuming every byte. Floats
+// travel as their IEEE 754 bits, so any bit pattern — ±Inf, -0, and NaN
+// with any sign and payload — must come back bit for bit; the comparison is
+// by bits because NaN is not Equal to itself.
+func TestBinaryRoundTripProperty(t *testing.T) {
+	const nanBits = 0x7ff0_0000_0000_0001 // all-ones exponent, nonzero mantissa
+	f := func(i int64, fl float64, bits uint64, s string, b bool) bool {
+		v := value.NewRecord(
+			"i", value.Int(i),
+			"f", value.Float(fl),
+			"bits", value.Float(math.Float64frombits(bits)),
+			"nan", value.Float(math.Float64frombits(bits|nanBits)),
+			"s", value.Str(s),
+			"b", value.Bool(b),
+			"l", value.List{value.Int(i), value.Str(s), value.Float(fl)},
+		)
+		data := value.AppendBinary(nil, v)
+		back, n, err := value.DecodeBinary(data)
+		return err == nil && n == len(data) && sameBits(v, back)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// sameBits is Value.Equal with floats compared by their bit patterns.
+func sameBits(a, b value.Value) bool {
+	switch av := a.(type) {
+	case value.Float:
+		bv, ok := b.(value.Float)
+		return ok && math.Float64bits(float64(av)) == math.Float64bits(float64(bv))
+	case value.List:
+		bv, ok := b.(value.List)
+		if !ok || len(av) != len(bv) {
+			return false
+		}
+		for k := range av {
+			if !sameBits(av[k], bv[k]) {
+				return false
+			}
+		}
+		return true
+	case value.Record:
+		bv, ok := b.(value.Record)
+		if !ok || av.Len() != bv.Len() {
+			return false
+		}
+		for k, name := range av.Names() {
+			if bv.Names()[k] != name || !sameBits(av.Field(name), bv.Field(name)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return a.Equal(b)
 	}
 }
 
