@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 )
@@ -229,6 +230,49 @@ func TestDBDedupAndExpire(t *testing.T) {
 
 // TestWorkflowTopology pins the Figure 10 structure: three areas fanning
 // out of the position-report source.
+// TestDBConcurrentStatisticsOneRowPerKey races the two statistics writers
+// over the same segment-minutes, as the minute-average and car-count actors
+// do on the thread-based and parallel directors, and checks that every
+// segment-minute ends with exactly one row carrying both columns.
+func TestDBConcurrentStatisticsOneRowPerKey(t *testing.T) {
+	const segs, minutes = 100, 100 // × 2 directions: 20 000 segment-minutes
+	db := NewDB()
+	var wg sync.WaitGroup
+	for _, write := range []func(dir, seg int, minute int64){
+		func(dir, seg int, minute int64) { db.RecordMinuteAvg(0, dir, seg, minute, 35) },
+		func(dir, seg int, minute int64) { db.RecordCarCount(0, dir, seg, minute, 60) },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for minute := int64(0); minute < minutes; minute++ {
+				for dir := 0; dir < 2; dir++ {
+					for seg := 0; seg < segs; seg++ {
+						write(dir, seg, minute)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	rows := map[string]int{}
+	for _, r := range db.Store().Table("segmentStatistics").Select(nil) {
+		k := r.Key("xway", "dir", "seg", "minute")
+		rows[k]++
+		if r.Float("avgSpeed") != 35 || r.Int("cars") != 60 {
+			t.Errorf("row %s = %v, want avgSpeed 35 and cars 60", k, r)
+		}
+	}
+	if len(rows) != 2*segs*minutes {
+		t.Errorf("%d segment-minutes have rows, want %d", len(rows), 2*segs*minutes)
+	}
+	for k, n := range rows {
+		if n != 1 {
+			t.Errorf("segment-minute %s has %d rows, want 1", k, n)
+		}
+	}
+}
+
 func TestWorkflowTopology(t *testing.T) {
 	db := NewDB()
 	w := Generate(GenConfig{Seed: 1, Duration: 30 * time.Second})

@@ -1,6 +1,8 @@
 package lr
 
 import (
+	"sync"
+
 	"repro/internal/relstore"
 	"repro/internal/value"
 )
@@ -14,6 +16,7 @@ type DB struct {
 	store     *relstore.Store
 	segStats  *relstore.Table
 	accidents *relstore.Table
+	statsMu   sync.Mutex // serialises segStats read-modify-writes
 }
 
 // LAVWindowMinutes is the "Latest Average Velocity" horizon: the average of
@@ -54,38 +57,33 @@ var segKeyCols = []string{"xway", "dir", "seg", "minute"}
 
 // RecordMinuteAvg upserts the average speed of a segment-minute.
 func (db *DB) RecordMinuteAvg(xway, dir, seg int, minute int64, avg float64) {
-	rows := db.segStats.Lookup(segKeyCols, segKey(xway, dir, seg, minute))
-	if len(rows) > 0 {
-		row := rows[0].With("avgSpeed", value.Float(avg))
-		db.segStats.Upsert(segKeyCols, row)
-		return
-	}
-	db.segStats.Insert(value.NewRecord(
-		"xway", value.Int(int64(xway)),
-		"dir", value.Int(int64(dir)),
-		"seg", value.Int(int64(seg)),
-		"minute", value.Int(minute),
-		"avgSpeed", value.Float(avg),
-		"cars", value.Int(-1),
-	))
+	db.recordStat(xway, dir, seg, minute, "avgSpeed", value.Float(avg))
 }
 
 // RecordCarCount upserts the distinct-car count of a segment-minute.
 func (db *DB) RecordCarCount(xway, dir, seg int, minute int64, n int) {
-	rows := db.segStats.Lookup(segKeyCols, segKey(xway, dir, seg, minute))
-	if len(rows) > 0 {
-		row := rows[0].With("cars", value.Int(int64(n)))
-		db.segStats.Upsert(segKeyCols, row)
-		return
+	db.recordStat(xway, dir, seg, minute, "cars", value.Int(int64(n)))
+}
+
+// recordStat sets one statistics column of a segment-minute's row,
+// creating the row with both columns unset (-1) on first sight. The read
+// and the write are one critical section under statsMu: the two statistics
+// actors run concurrently on the thread-based and parallel directors, and
+// two interleaved read-modify-writes would lose a column or insert the row
+// twice.
+func (db *DB) recordStat(xway, dir, seg int, minute int64, col string, v value.Value) {
+	key := segKey(xway, dir, seg, minute)
+	db.statsMu.Lock()
+	defer db.statsMu.Unlock()
+	var row relstore.Row
+	if rows := db.segStats.Lookup(segKeyCols, key); len(rows) > 0 {
+		row = rows[0]
+	} else {
+		row = key.With("avgSpeed", value.Float(-1)).With("cars", value.Int(-1))
 	}
-	db.segStats.Insert(value.NewRecord(
-		"xway", value.Int(int64(xway)),
-		"dir", value.Int(int64(dir)),
-		"seg", value.Int(int64(seg)),
-		"minute", value.Int(minute),
-		"avgSpeed", value.Float(-1),
-		"cars", value.Int(int64(n)),
-	))
+	if err := db.segStats.Upsert(segKeyCols, row.With(col, v)); err != nil {
+		panic(err) // the row carries every column of the schema NewDB creates
+	}
 }
 
 // LAV returns the Latest Average Velocity for a segment at the given

@@ -8,7 +8,9 @@
 package relstore
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -29,7 +31,7 @@ type Table struct {
 
 	mu      sync.RWMutex
 	rows    []Row
-	indexes map[string]*index
+	indexes []*index
 }
 
 // index is a hash index over a column tuple.
@@ -38,7 +40,22 @@ type index struct {
 	m    map[string][]int // key -> row positions
 }
 
-func indexKey(cols []string) string { return strings.Join(cols, ",") }
+// positions returns the positions of the rows whose indexed columns equal
+// r's. The key renders into a stack buffer, so the probe allocates nothing.
+func (ix *index) positions(r Row) []int {
+	var buf [64]byte
+	return ix.m[string(r.AppendKey(buf[:0], ix.cols...))]
+}
+
+// indexOn returns the index over exactly cols, or nil.
+func (t *Table) indexOn(cols []string) *index {
+	for _, ix := range t.indexes {
+		if slices.Equal(ix.cols, cols) {
+			return ix
+		}
+	}
+	return nil
+}
 
 // Store is a collection of tables.
 type Store struct {
@@ -60,7 +77,7 @@ func (s *Store) CreateTable(name string, cols ...string) (*Table, error) {
 	if _, dup := s.tables[name]; dup {
 		return nil, fmt.Errorf("relstore: table %s already exists", name)
 	}
-	t := &Table{name: name, cols: append([]string(nil), cols...), indexes: make(map[string]*index)}
+	t := &Table{name: name, cols: append([]string(nil), cols...)}
 	s.tables[name] = t
 	return t, nil
 }
@@ -109,16 +126,14 @@ func (t *Table) CreateIndex(cols ...string) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	key := indexKey(cols)
-	if _, dup := t.indexes[key]; dup {
-		return fmt.Errorf("relstore: %s: duplicate index on (%s)", t.name, key)
+	if t.indexOn(cols) != nil {
+		return fmt.Errorf("relstore: %s: duplicate index on (%s)", t.name, strings.Join(cols, ","))
 	}
 	ix := &index{cols: append([]string(nil), cols...), m: make(map[string][]int)}
 	for pos, r := range t.rows {
-		k := r.Key(ix.cols...)
-		ix.m[k] = append(ix.m[k], pos)
+		ix.add(r, pos)
 	}
-	t.indexes[key] = ix
+	t.indexes = append(t.indexes, ix)
 	return nil
 }
 
@@ -133,20 +148,27 @@ func (t *Table) hasColumn(c string) bool {
 
 // Insert appends a row. Rows must provide every declared column.
 func (t *Table) Insert(r Row) error {
-	for _, c := range t.cols {
-		if _, ok := r.Get(c); !ok {
-			return fmt.Errorf("relstore: %s: insert missing column %s", t.name, c)
-		}
+	if err := t.checkColumns("insert", r); err != nil {
+		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pos := len(t.rows)
-	t.rows = append(t.rows, r)
-	for _, ix := range t.indexes {
-		k := r.Key(ix.cols...)
-		ix.m[k] = append(ix.m[k], pos)
+	t.insertLocked(r)
+	return nil
+}
+
+func (t *Table) checkColumns(op string, r Row) error {
+	for _, c := range t.cols {
+		if _, ok := r.Get(c); !ok {
+			return fmt.Errorf("relstore: %s: %s missing column %s", t.name, op, c)
+		}
 	}
 	return nil
+}
+
+func (t *Table) insertLocked(r Row) {
+	t.rows = append(t.rows, r)
+	t.indexLocked(len(t.rows)-1, r)
 }
 
 // Len returns the number of rows.
@@ -200,23 +222,20 @@ func (t *Table) Count(pred Predicate) int {
 
 // Lookup returns the rows whose indexed column tuple equals the key values,
 // using the index built with CreateIndex. It falls back to a scan when no
-// matching index exists.
+// matching index exists. An indexed lookup allocates only its result, and
+// nothing when no row matches.
 func (t *Table) Lookup(cols []string, key Row) []Row {
 	t.mu.RLock()
-	ix, ok := t.indexes[indexKey(cols)]
-	if !ok {
+	ix := t.indexOn(cols)
+	if ix == nil {
 		t.mu.RUnlock()
-		return t.Select(func(r Row) bool {
-			for _, c := range cols {
-				if !r.Field(c).Equal(key.Field(c)) {
-					return false
-				}
-			}
-			return true
-		})
+		return t.Select(func(r Row) bool { return sameKey(r, key, cols) })
 	}
-	k := key.Key(ix.cols...)
-	positions := ix.m[k]
+	positions := ix.positions(key)
+	if len(positions) == 0 {
+		t.mu.RUnlock()
+		return nil
+	}
 	out := make([]Row, 0, len(positions))
 	for _, pos := range positions {
 		r := t.rows[pos]
@@ -239,30 +258,66 @@ func (t *Table) Update(pred Predicate, fn func(Row) Row) int {
 		if r.Len() == 0 || (pred != nil && !pred(r)) {
 			continue
 		}
-		newRow := fn(r)
-		t.unindexLocked(i, r)
-		t.rows[i] = newRow
-		t.indexLocked(i, newRow)
+		t.replaceLocked(i, fn(r))
 		n++
 	}
 	return n
 }
 
-// Upsert replaces the single row matching the key columns, or inserts.
+// Upsert replaces the row matching r on the key columns, or inserts r when
+// none does. The match and the write are one critical section, so
+// concurrent upserts of one key leave one row; the match goes through the
+// index on keyCols when the table has one, else it scans.
 func (t *Table) Upsert(keyCols []string, r Row) error {
-	matches := t.Lookup(keyCols, r)
-	if len(matches) == 0 {
-		return t.Insert(r)
+	if err := t.checkColumns("upsert", r); err != nil {
+		return err
 	}
-	t.Update(func(row Row) bool {
-		for _, c := range keyCols {
-			if !row.Field(c).Equal(r.Field(c)) {
-				return false
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var matches []int
+	if ix := t.indexOn(keyCols); ix != nil {
+		matches = ix.positions(r)
+	} else {
+		for i, row := range t.rows {
+			if row.Len() > 0 && sameKey(row, r, keyCols) {
+				matches = append(matches, i)
 			}
 		}
-		return true
-	}, func(Row) Row { return r })
+	}
+	if len(matches) == 0 {
+		t.insertLocked(r)
+		return nil
+	}
+	// Every match renders the probed key, so replaceLocked leaves the index
+	// entry matches aliases untouched.
+	for _, pos := range matches {
+		t.replaceLocked(pos, r)
+	}
 	return nil
+}
+
+// sameKey reports whether a and b agree on every column of cols.
+func sameKey(a, b Row, cols []string) bool {
+	for _, c := range cols {
+		if !a.Field(c).Equal(b.Field(c)) {
+			return false
+		}
+	}
+	return true
+}
+
+// replaceLocked overwrites the row at pos, moving it only in the indexes
+// whose key it changes.
+func (t *Table) replaceLocked(pos int, r Row) {
+	old := t.rows[pos]
+	t.rows[pos] = r
+	for _, ix := range t.indexes {
+		var a, b [64]byte
+		if !bytes.Equal(old.AppendKey(a[:0], ix.cols...), r.AppendKey(b[:0], ix.cols...)) {
+			ix.remove(old, pos)
+			ix.add(r, pos)
+		}
+	}
 }
 
 // Delete tombstones every row satisfying pred and returns the count.
@@ -274,7 +329,9 @@ func (t *Table) Delete(pred Predicate) int {
 		if r.Len() == 0 || (pred != nil && !pred(r)) {
 			continue
 		}
-		t.unindexLocked(i, r)
+		for _, ix := range t.indexes {
+			ix.remove(r, i)
+		}
 		t.rows[i] = Row{}
 		n++
 	}
@@ -283,24 +340,21 @@ func (t *Table) Delete(pred Predicate) int {
 
 func (t *Table) indexLocked(pos int, r Row) {
 	for _, ix := range t.indexes {
-		k := r.Key(ix.cols...)
-		ix.m[k] = append(ix.m[k], pos)
+		ix.add(r, pos)
 	}
 }
 
-func (t *Table) unindexLocked(pos int, r Row) {
-	for _, ix := range t.indexes {
-		k := r.Key(ix.cols...)
-		list := ix.m[k]
-		for j, p := range list {
-			if p == pos {
-				ix.m[k] = append(list[:j], list[j+1:]...)
-				break
-			}
-		}
-		if len(ix.m[k]) == 0 {
-			delete(ix.m, k)
-		}
+func (ix *index) add(r Row, pos int) {
+	k := r.Key(ix.cols...)
+	ix.m[k] = append(ix.m[k], pos)
+}
+
+func (ix *index) remove(r Row, pos int) {
+	k := r.Key(ix.cols...)
+	if list := slices.DeleteFunc(ix.m[k], func(p int) bool { return p == pos }); len(list) > 0 {
+		ix.m[k] = list
+	} else {
+		delete(ix.m, k)
 	}
 }
 
@@ -316,12 +370,10 @@ func (t *Table) Compact() {
 		}
 	}
 	t.rows = live
-	for key, ix := range t.indexes {
-		fresh := &index{cols: ix.cols, m: make(map[string][]int)}
-		for pos, r := range t.rows {
-			k := r.Key(ix.cols...)
-			fresh.m[k] = append(fresh.m[k], pos)
-		}
-		t.indexes[key] = fresh
+	for _, ix := range t.indexes {
+		ix.m = make(map[string][]int)
+	}
+	for pos, r := range t.rows {
+		t.indexLocked(pos, r)
 	}
 }

@@ -94,6 +94,39 @@ func TestIndexedLookup(t *testing.T) {
 	}
 }
 
+// TestIndexedLookupAllocs pins an indexed Lookup to its result slice: the
+// index is found without rendering its name and the key renders into a
+// stack buffer, so a hit allocates one object and a miss none.
+func TestIndexedLookupAllocs(t *testing.T) {
+	s := New()
+	tbl := s.MustCreateTable("seg", "xway", "dir", "seg", "minute", "cars")
+	if err := tbl.CreateIndex("xway", "dir", "seg", "minute"); err != nil {
+		t.Fatal(err)
+	}
+	for seg := 0; seg < 100; seg++ {
+		tbl.Insert(row("xway", value.Int(0), "dir", value.Int(1), "seg", value.Int(int64(seg)),
+			"minute", value.Int(1000), "cars", value.Int(60)))
+	}
+	cols := []string{"xway", "dir", "seg", "minute"}
+	hit := row("xway", value.Int(0), "dir", value.Int(1), "seg", value.Int(42), "minute", value.Int(1000))
+	miss := hit.With("minute", value.Int(999))
+	for _, c := range []struct {
+		name  string
+		key   Row
+		rows  int
+		limit float64
+	}{{"hit", hit, 1, 1}, {"miss", miss, 0, 0}} {
+		var got []Row
+		allocs := testing.AllocsPerRun(100, func() { got = tbl.Lookup(cols, c.key) })
+		if len(got) != c.rows {
+			t.Fatalf("%s: Lookup = %d rows, want %d", c.name, len(got), c.rows)
+		}
+		if allocs > c.limit {
+			t.Errorf("%s: indexed Lookup allocates %v objects, want at most %v", c.name, allocs, c.limit)
+		}
+	}
+}
+
 func TestUpdateAndUpsert(t *testing.T) {
 	s := New()
 	tbl := s.MustCreateTable("seg", "seg", "cars")

@@ -75,11 +75,11 @@ func AppendBinary(buf []byte, v Value) []byte {
 		return buf
 	case Record:
 		buf = append(buf, binRecord)
-		buf = binary.AppendUvarint(buf, uint64(len(tv.names)))
-		for _, name := range tv.names {
+		buf = binary.AppendUvarint(buf, uint64(len(tv.vals)))
+		for i, name := range tv.Names() {
 			buf = binary.AppendUvarint(buf, uint64(len(name)))
 			buf = append(buf, name...)
-			buf = AppendBinary(buf, tv.fields[name])
+			buf = AppendBinary(buf, tv.vals[i])
 		}
 		return buf
 	default:
@@ -130,7 +130,7 @@ func decodeBinary(b []byte, depth int) (Value, int, error) {
 		}
 		return Float(math.Float64frombits(binary.LittleEndian.Uint64(rest))), 1 + 8, nil
 	case binString:
-		s, n, err := decodeBytes(rest, "string")
+		s, n, err := decodeRun(rest, "string")
 		if err != nil {
 			return nil, 0, err
 		}
@@ -165,12 +165,13 @@ func decodeBinary(b []byte, depth int) (Value, int, error) {
 			return nil, 0, fmt.Errorf("value: binary decode: record count %d exceeds input", count)
 		}
 		used := 1 + n
-		r := Record{
-			names:  make([]string, 0, count),
-			fields: make(map[string]Value, count),
-		}
-		for i := uint64(0); i < count; i++ {
-			name, m, err := decodeBytes(b[used:], "record field name")
+		// Names stay byte runs of b until the schema lookup: a record whose
+		// schema is interned decodes without copying them.
+		var buf [scanFields][]byte
+		names := buf[:0]
+		vals := make([]Value, count)
+		for i := range vals {
+			name, m, err := decodeRun(b[used:], "record field name")
 			if err != nil {
 				return nil, 0, err
 			}
@@ -180,27 +181,28 @@ func decodeBinary(b []byte, depth int) (Value, int, error) {
 				return nil, 0, err
 			}
 			used += m2
-			if _, dup := r.fields[name]; dup {
-				return nil, 0, fmt.Errorf("value: binary decode: duplicate record field %q", name)
-			}
-			r.names = append(r.names, name)
-			r.fields[name] = fv
+			names = append(names, name)
+			vals[i] = fv
 		}
-		return r, used, nil
+		s, err := schemaOf(names)
+		if err != nil {
+			return nil, 0, fmt.Errorf("value: binary decode: %w", err)
+		}
+		return Record{s: s, vals: vals}, used, nil
 	default:
 		return nil, 0, fmt.Errorf("value: binary decode: unknown tag 0x%02x", tag)
 	}
 }
 
-// decodeBytes reads a uvarint-length-prefixed byte run from b, returning the
-// bytes as a string and the total bytes consumed.
-func decodeBytes(b []byte, what string) (string, int, error) {
+// decodeRun reads a uvarint-length-prefixed byte run from the front of b,
+// returning the run, which aliases b, and the total bytes consumed.
+func decodeRun(b []byte, what string) ([]byte, int, error) {
 	l, n := binary.Uvarint(b)
 	if n <= 0 {
-		return "", 0, fmt.Errorf("value: binary decode: bad %s length", what)
+		return nil, 0, fmt.Errorf("value: binary decode: bad %s length", what)
 	}
 	if l > uint64(len(b)-n) {
-		return "", 0, fmt.Errorf("value: binary decode: %s length %d exceeds input", what, l)
+		return nil, 0, fmt.Errorf("value: binary decode: %s length %d exceeds input", what, l)
 	}
-	return string(b[n : n+int(l)]), n + int(l), nil
+	return b[n : n+int(l)], n + int(l), nil
 }

@@ -2,7 +2,10 @@ package value_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -168,6 +171,27 @@ func TestBinaryRejectsCorruptInput(t *testing.T) {
 	dup := []byte{0x07, 0x02, 0x01, 'a', 0x00, 0x01, 'a', 0x00}
 	if _, _, err := value.DecodeBinary(dup); err == nil {
 		t.Error("duplicate record field accepted")
+	}
+}
+
+// TestBinaryRejectsDuplicateFieldInWideRecord: past the scan threshold the
+// decoder checks for duplicate names with a map, so a wide record is
+// rejected as surely as a narrow one, and a frame of 100k+ fields with the
+// duplicate last decodes in linear time rather than hanging the receiver.
+func TestBinaryRejectsDuplicateFieldInWideRecord(t *testing.T) {
+	for _, n := range []int{17, 40, 1 << 17} {
+		frame := binary.AppendUvarint([]byte{0x07}, uint64(n))
+		for i := 0; i < n; i++ {
+			name := fmt.Sprintf("f%d", i)
+			if i == n-1 {
+				name = "f3"
+			}
+			frame = binary.AppendUvarint(frame, uint64(len(name)))
+			frame = append(append(frame, name...), 0x00)
+		}
+		if _, _, err := value.DecodeBinary(frame); err == nil || !strings.Contains(err.Error(), `duplicate record field "f3"`) {
+			t.Errorf("%d-field record with a duplicate: err = %v, want a duplicate-field error", n, err)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ package value
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -155,13 +156,13 @@ func Append(dst []byte, v Value) []byte {
 		return append(dst, ']')
 	case Record:
 		dst = append(dst, '{')
-		for i, name := range v.names {
+		for i, name := range v.Names() {
 			if i > 0 {
 				dst = append(dst, ", "...)
 			}
 			dst = append(dst, name...)
 			dst = append(dst, ": "...)
-			dst = Append(dst, v.fields[name])
+			dst = Append(dst, v.vals[i])
 		}
 		return append(dst, '}')
 	default:
@@ -184,10 +185,14 @@ func (l List) Equal(v Value) bool {
 }
 
 // Record is an immutable set of named fields with deterministic order.
-// Construct records with NewRecord or the Builder; the zero Record is empty.
+// Construct records with NewRecord; the zero Record is empty.
+//
+// A record is its schema — the field names in order, interned and shared by
+// every record with the same names — plus one slice of values laid out by
+// it, so building one allocates only the value slice.
 type Record struct {
-	names  []string
-	fields map[string]Value
+	s    *schema
+	vals []Value
 }
 
 // NewRecord builds a record from alternating name/value pairs:
@@ -199,7 +204,9 @@ func NewRecord(pairs ...any) Record {
 	if len(pairs)%2 != 0 {
 		panic("value.NewRecord: odd number of arguments")
 	}
-	r := Record{names: make([]string, 0, len(pairs)/2), fields: make(map[string]Value, len(pairs)/2)}
+	var buf [scanFields]string
+	names := buf[:0]
+	vals := make([]Value, len(pairs)/2)
 	for i := 0; i < len(pairs); i += 2 {
 		name, ok := pairs[i].(string)
 		if !ok {
@@ -209,13 +216,14 @@ func NewRecord(pairs ...any) Record {
 		if !ok {
 			panic(fmt.Sprintf("value.NewRecord: field %q is not a Value", name))
 		}
-		if _, dup := r.fields[name]; dup {
-			panic(fmt.Sprintf("value.NewRecord: duplicate field %q", name))
-		}
-		r.names = append(r.names, name)
-		r.fields[name] = v
+		names = append(names, name)
+		vals[i/2] = v
 	}
-	return r
+	s, err := schemaOf(names)
+	if err != nil {
+		panic("value.NewRecord: " + err.Error())
+	}
+	return Record{s: s, vals: vals}
 }
 
 // Kind implements Value.
@@ -227,12 +235,20 @@ func (r Record) String() string { return string(Append(nil, r)) }
 // Equal implements Value. Field order does not affect equality.
 func (r Record) Equal(v Value) bool {
 	o, ok := v.(Record)
-	if !ok || len(o.fields) != len(r.fields) {
+	if !ok || len(o.vals) != len(r.vals) {
 		return false
 	}
-	for name, rv := range r.fields {
-		ov, ok := o.fields[name]
-		if !ok || !rv.Equal(ov) {
+	if r.s == o.s {
+		for i, rv := range r.vals {
+			if !rv.Equal(o.vals[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for i, name := range r.s.fieldNames() {
+		j := o.s.find(name)
+		if j < 0 || !r.vals[i].Equal(o.vals[j]) {
 			return false
 		}
 	}
@@ -240,22 +256,24 @@ func (r Record) Equal(v Value) bool {
 }
 
 // Len returns the number of fields.
-func (r Record) Len() int { return len(r.names) }
+func (r Record) Len() int { return len(r.vals) }
 
-// Names returns the field names in insertion order. The caller must not
-// modify the returned slice.
-func (r Record) Names() []string { return r.names }
+// Names returns the field names in insertion order. The slice is shared by
+// every record of the same schema: the caller must not modify it.
+func (r Record) Names() []string { return r.s.fieldNames() }
 
 // Get returns the named field and whether it exists.
 func (r Record) Get(name string) (Value, bool) {
-	v, ok := r.fields[name]
-	return v, ok
+	if i := r.s.find(name); i >= 0 {
+		return r.vals[i], true
+	}
+	return nil, false
 }
 
 // Field returns the named field or Nil{} if absent.
 func (r Record) Field(name string) Value {
-	if v, ok := r.fields[name]; ok {
-		return v
+	if i := r.s.find(name); i >= 0 {
+		return r.vals[i]
 	}
 	return Nil{}
 }
@@ -263,7 +281,7 @@ func (r Record) Field(name string) Value {
 // Int returns the named field as an int64. Float fields are truncated.
 // Missing or non-numeric fields return 0.
 func (r Record) Int(name string) int64 {
-	switch v := r.fields[name].(type) {
+	switch v := r.Field(name).(type) {
 	case Int:
 		return int64(v)
 	case Float:
@@ -276,7 +294,7 @@ func (r Record) Int(name string) int64 {
 // Float returns the named field as a float64. Missing or non-numeric fields
 // return 0.
 func (r Record) Float(name string) float64 {
-	switch v := r.fields[name].(type) {
+	switch v := r.Field(name).(type) {
 	case Float:
 		return float64(v)
 	case Int:
@@ -289,7 +307,7 @@ func (r Record) Float(name string) float64 {
 // Text returns the named field as an unquoted string, or "" if absent or not
 // a string token.
 func (r Record) Text(name string) string {
-	if v, ok := r.fields[name].(Str); ok {
+	if v, ok := r.Field(name).(Str); ok {
 		return string(v)
 	}
 	return ""
@@ -297,7 +315,7 @@ func (r Record) Text(name string) string {
 
 // Bool returns the named field as a bool, or false if absent or not boolean.
 func (r Record) Bool(name string) bool {
-	if v, ok := r.fields[name].(Bool); ok {
+	if v, ok := r.Field(name).(Bool); ok {
 		return bool(v)
 	}
 	return false
@@ -306,32 +324,26 @@ func (r Record) Bool(name string) bool {
 // With returns a copy of the record with the named field set (added or
 // replaced). The receiver is unchanged.
 func (r Record) With(name string, v Value) Record {
-	out := Record{
-		names:  make([]string, len(r.names), len(r.names)+1),
-		fields: make(map[string]Value, len(r.fields)+1),
+	if i := r.s.find(name); i >= 0 {
+		vals := slices.Clone(r.vals)
+		vals[i] = v
+		return Record{s: r.s, vals: vals}
 	}
-	copy(out.names, r.names)
-	for k, fv := range r.fields {
-		out.fields[k] = fv
-	}
-	if _, exists := out.fields[name]; !exists {
-		out.names = append(out.names, name)
-	}
-	out.fields[name] = v
-	return out
+	vals := make([]Value, len(r.vals)+1)
+	copy(vals, r.vals)
+	vals[len(r.vals)] = v
+	return Record{s: r.s.derive(name), vals: vals}
 }
 
 // Without returns a copy of the record with the named field removed.
 func (r Record) Without(name string) Record {
-	out := Record{fields: make(map[string]Value, len(r.fields))}
-	for _, n := range r.names {
-		if n == name {
-			continue
-		}
-		out.names = append(out.names, n)
-		out.fields[n] = r.fields[n]
+	i := r.s.find(name)
+	if i < 0 {
+		return r
 	}
-	return out
+	vals := make([]Value, 0, len(r.vals)-1)
+	vals = append(append(vals, r.vals[:i]...), r.vals[i+1:]...)
+	return Record{s: r.s.derive(name), vals: vals}
 }
 
 // Key builds a deterministic group-by key from the named fields. Missing
@@ -354,8 +366,7 @@ func (r Record) AppendKey(dst []byte, fields ...string) []byte {
 // SortedNames returns the field names sorted lexicographically. It is used
 // when a canonical, order-insensitive rendering of a record is needed.
 func (r Record) SortedNames() []string {
-	out := make([]string, len(r.names))
-	copy(out, r.names)
+	out := slices.Clone(r.Names())
 	sort.Strings(out)
 	return out
 }
