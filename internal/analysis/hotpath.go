@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // HotPathAnalyzer enforces hot-path hygiene: functions tagged
@@ -11,9 +12,13 @@ import (
 // call allocation-heavy fmt helpers, and must not iterate maps (randomized
 // order plus a hash walk per firing). Only the tagged function's own body is
 // checked; helpers it calls earn their own tag when they share the path.
+//
+// It also bans time.Sleep from every non-test file under repro/internal/
+// except repro/internal/clock: an engine waits through clock.Park, because
+// a short time.Sleep rounds up to the Go netpoller's 1 ms.
 var HotPathAnalyzer = &Analyzer{
 	Name: "hotpath",
-	Doc:  "no time.Now, fmt, or map iteration in //confvet:hotpath functions",
+	Doc:  "no time.Now, fmt, or map iteration in //confvet:hotpath functions; no time.Sleep in engine code",
 	Mode: PerPackage,
 	Run:  runHotPath,
 }
@@ -24,6 +29,9 @@ var hotClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 func runHotPath(pass *Pass) error {
 	for _, pkg := range pass.Pkgs {
 		for _, f := range pkg.Files {
+			if sleepBanned(pkg.Path) && !strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+				checkNoSleep(pass, pkg.Info, f)
+			}
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil || !hasDirective(fd.Doc, directiveHotPath) {
@@ -58,6 +66,23 @@ func checkHotBody(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
 					pass.Reportf(n.Pos(), "hot path %s iterates a map; order is randomized and the hash walk costs per firing", name)
 				}
+			}
+		}
+		return true
+	})
+}
+
+// sleepBanned reports whether a package is engine code that must wait
+// through clock.Park: anything under repro/internal/ but the clock itself.
+func sleepBanned(path string) bool {
+	return strings.HasPrefix(path, "repro/internal/") && path != "repro/internal/clock"
+}
+
+func checkNoSleep(pass *Pass, info *types.Info, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn := funcFor(info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Name() == "Sleep" {
+				pass.Reportf(call.Pos(), "engine code calls time.Sleep, which rounds a short wait up to 1 ms; park through clock.Park")
 			}
 		}
 		return true

@@ -303,22 +303,25 @@ func (d *PNCWF) runSource(ctx context.Context, a model.Actor) error {
 	}
 }
 
+// napUntilNextEvent parks a source whose firing found nothing due: until
+// its next external event (at most 50 ms ahead), not at all when that event
+// fell due meanwhile, and 1 ms when the source cannot tell.
 func (d *PNCWF) napUntilNextEvent(ctx context.Context, a model.Actor) {
-	nap := time.Millisecond
 	type timed interface{ NextEventTime() (time.Time, bool) }
 	if ts, ok := a.(timed); ok {
 		if t, ok := ts.NextEventTime(); ok {
-			if dt := time.Until(t); dt > 0 && dt < 50*time.Millisecond {
-				nap = dt
-			} else if dt >= 50*time.Millisecond {
-				nap = 50 * time.Millisecond
+			now := time.Now()
+			if !t.After(now) {
+				return // fell due since the firing: fire again at once
 			}
+			if limit := now.Add(50 * time.Millisecond); t.After(limit) {
+				t = limit
+			}
+			clock.Park(ctx, t)
+			return
 		}
 	}
-	select {
-	case <-ctx.Done():
-	case <-time.After(nap):
-	}
+	clock.Park(ctx, time.Now().Add(time.Millisecond))
 }
 
 // fireBatchMax bounds how many ready windows an actor thread consumes per

@@ -17,6 +17,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -26,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/event"
 	"repro/internal/model"
 	"repro/internal/ring"
@@ -665,10 +667,10 @@ func (r *Receiver) pinger(sc *senderConn) {
 	}
 }
 
-// push enqueues one arrival, spinning (and eventually sleeping) while the
-// ring is full — the stall that turns into TCP backpressure toward the
-// sender. It reports false when the bridge is shutting down, counting the
-// event as dropped.
+// push enqueues one arrival, spinning (and eventually parking 200 µs at a
+// time) while the ring is full — the stall that turns into TCP
+// backpressure toward the sender. It reports false when the bridge is
+// shutting down, counting the event as dropped.
 func (r *Receiver) push(re recvEvent) bool {
 	spins := 0
 	for !r.ring.TryPush(re) {
@@ -680,7 +682,7 @@ func (r *Receiver) push(re recvEvent) bool {
 			spins++
 			runtime.Gosched()
 		} else {
-			time.Sleep(100 * time.Microsecond)
+			clock.Park(context.Background(), time.Now().Add(200*time.Microsecond))
 		}
 	}
 	r.received.Add(1)

@@ -280,10 +280,10 @@ func (d *Director) Run(ctx context.Context) error {
 			if _, isVirtual := d.clk.(*clock.Virtual); isVirtual {
 				return nil // virtual runs require paced sources
 			}
-			time.Sleep(time.Millisecond)
+			clock.Park(ctx, time.Now().Add(time.Millisecond))
 			continue
 		}
-		d.advanceTo(next)
+		d.advanceTo(ctx, next)
 	}
 }
 
@@ -333,7 +333,7 @@ func (d *Director) AdvanceIdle() bool {
 	if !ok {
 		return false
 	}
-	d.advanceTo(next)
+	d.advanceTo(context.Background(), next)
 	return true
 }
 
@@ -360,17 +360,18 @@ func (d *Director) nextHorizon() (time.Time, bool) {
 	return best, found
 }
 
-func (d *Director) advanceTo(t time.Time) {
+// advanceTo moves idle time toward t: a virtual clock jumps there, a real
+// one parks until t or for 10 ms, whichever is sooner, so that an unpaced
+// source (which has no horizon of its own) is still polled.
+func (d *Director) advanceTo(ctx context.Context, t time.Time) {
 	switch c := d.clk.(type) {
 	case *clock.Virtual:
 		c.AdvanceTo(t)
 	default:
-		if dt := time.Until(t); dt > 0 {
-			if dt > 10*time.Millisecond {
-				dt = 10 * time.Millisecond
-			}
-			time.Sleep(dt)
+		if limit := time.Now().Add(10 * time.Millisecond); t.After(limit) {
+			t = limit
 		}
+		clock.Park(ctx, t)
 	}
 	PollTimeouts(d.receivers, d.clk.Now())
 }
