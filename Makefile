@@ -22,20 +22,20 @@ vet:
 
 # lint runs the standard toolchain vet, a gofmt check over every tracked Go
 # file (the nested benchmark module included), and confvet, the repo's own
-# engine-invariant analyzers (see DESIGN.md, sections "Static analysis"
-# and "Dataflow analysis"): the five syntactic checks plus the poolsafe /
-# ringsafe / waitersafe dataflow tier. The ./... pattern covers the whole
-# module — internal/, cmd/ and examples/ alike. Every leg must be clean
-# for the tree to be mergeable; CI runs lint, so vet needs no job of its own.
+# engine-invariant analyzers (see DESIGN.md, section "Static analysis"):
+# hotpath and lockorder, each kept because it alone catches a seeded
+# engine bug (internal/analysis/mutants_test.go). The ./... pattern
+# covers the whole module — internal/, cmd/ and examples/ alike. Every leg
+# must be clean for the tree to be mergeable; CI runs lint, so vet needs no
+# job of its own.
 lint: vet
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/confvet ./...
 
 # bench-lint times one full confvet pass (load + type-check + every
-# analyzer) over the tree, plus the isolated dataflow tier. The CI lint
-# job logs the numbers so analyzer wall-time regressions are visible
-# before they make `make lint` painful.
+# analyzer) over the tree. The CI lint job logs the number so analyzer
+# wall-time regressions are visible before they make `make lint` painful.
 bench-lint:
 	$(GO) test ./internal/analysis/ -run '^$$' -bench BenchmarkConfvet -benchtime 1x -count 1
 

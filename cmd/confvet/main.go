@@ -3,7 +3,6 @@
 //
 //	confvet ./...                 # analyze every package, vet-style output
 //	confvet -json ./...           # machine-readable diagnostics
-//	confvet -tests ./internal/... # include in-package _test.go files
 //	confvet -list                 # print the analyzer catalogue
 //
 // Exit status is 0 when no diagnostics are reported, 1 when findings exist,
@@ -28,7 +27,6 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("confvet", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
-	tests := fs.Bool("tests", false, "include in-package _test.go files")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("run", "", "comma-separated analyzer names to run (default all)")
 	if err := fs.Parse(args); err != nil {
@@ -61,7 +59,7 @@ func run(args []string) int {
 		analyzers = selected
 	}
 
-	pkgs, err := analysis.Load(analysis.LoadConfig{Tests: *tests}, fs.Args()...)
+	pkgs, err := analysis.Load(analysis.LoadConfig{}, fs.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "confvet: %v\n", err)
 		return 2

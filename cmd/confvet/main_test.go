@@ -41,15 +41,15 @@ func TestExitCodeClean(t *testing.T) {
 	}
 }
 
-// TestExitCodeFindings pins the findings leg: the seeded poolsafe fixture
+// TestExitCodeFindings pins the findings leg: the seeded hotpath fixture
 // must exit 1 and print vet-style lines naming the analyzer.
 func TestExitCodeFindings(t *testing.T) {
 	out := capture(t, func() {
-		if code := run([]string{"-run", "poolsafe", "../../internal/analysis/testdata/src/poolsafe"}); code != 1 {
+		if code := run([]string{"-run", "hotpath", "../../internal/analysis/testdata/src/hotpath"}); code != 1 {
 			t.Errorf("fixture with findings: exit %d, want 1", code)
 		}
 	})
-	if !strings.Contains(out, "poolsafe:") {
+	if !strings.Contains(out, "hotpath:") {
 		t.Errorf("output does not name the analyzer:\n%s", out)
 	}
 }
@@ -66,12 +66,11 @@ func TestExitCodeErrors(t *testing.T) {
 }
 
 // TestJSONFields pins the machine-readable contract: every diagnostic
-// carries the analyzer name, and path-bearing diagnostics carry the line
-// list of the offending control-flow path.
+// carries its position and the analyzer name.
 func TestJSONFields(t *testing.T) {
 	var code int
 	out := capture(t, func() {
-		code = run([]string{"-json", "-run", "poolsafe", "../../internal/analysis/testdata/src/poolsafe"})
+		code = run([]string{"-json", "-run", "hotpath", "../../internal/analysis/testdata/src/hotpath"})
 	})
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
@@ -82,7 +81,6 @@ func TestJSONFields(t *testing.T) {
 		Column   int    `json:"column"`
 		Analyzer string `json:"analyzer"`
 		Message  string `json:"message"`
-		Path     []int  `json:"path"`
 	}
 	if err := json.Unmarshal([]byte(out), &diags); err != nil {
 		t.Fatalf("not a JSON diagnostic array: %v\n%s", err, out)
@@ -90,24 +88,13 @@ func TestJSONFields(t *testing.T) {
 	if len(diags) == 0 {
 		t.Fatalf("no diagnostics decoded")
 	}
-	withPath := 0
 	for _, d := range diags {
-		if d.Analyzer != "poolsafe" {
+		if d.Analyzer != "hotpath" {
 			t.Errorf("diagnostic missing analyzer name: %+v", d)
 		}
 		if d.File == "" || d.Line == 0 {
 			t.Errorf("diagnostic missing position: %+v", d)
 		}
-		if len(d.Path) > 0 {
-			withPath++
-			last := d.Path[len(d.Path)-1]
-			if last != d.Line {
-				t.Errorf("path %v does not end at the diagnostic line %d", d.Path, d.Line)
-			}
-		}
-	}
-	if withPath == 0 {
-		t.Errorf("no diagnostic carried a path; dataflow findings must explain their control-flow path")
 	}
 }
 
@@ -124,20 +111,21 @@ func TestJSONEmptyArray(t *testing.T) {
 	}
 }
 
-// TestListIncludesDataflowTier pins the catalogue: it names all three
-// dataflow analyzers, and lifecycle lists the one rule it enforces.
-func TestListIncludesDataflowTier(t *testing.T) {
+// TestListNamesEveryAnalyzer pins the catalogue: one line per analyzer.
+func TestListNamesEveryAnalyzer(t *testing.T) {
 	out := capture(t, func() {
 		if code := run([]string{"-list"}); code != 0 {
 			t.Errorf("-list: exit %d, want 0", code)
 		}
 	})
-	for _, name := range []string{"poolsafe", "ringsafe", "waitersafe"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("-list output missing %s:\n%s", name, out)
-		}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	want := []string{"hotpath", "lockorder"}
+	if len(lines) != len(want) {
+		t.Fatalf("-list printed %d lines, want %d:\n%s", len(lines), len(want), out)
 	}
-	if want := "lifecycle  Fire must not call Initialize/Wrapup\n"; !strings.Contains(out, want) {
-		t.Errorf("-list output missing %q:\n%s", want, out)
+	for i, name := range want {
+		if !strings.HasPrefix(lines[i], name+" ") {
+			t.Errorf("-list line %d = %q, want the %s analyzer", i, lines[i], name)
+		}
 	}
 }

@@ -1,54 +1,22 @@
 // Package analysis implements confvet, the engine-invariant static-analysis
-// layer. It is the analogue of PtolemyII's pre-execution consistency checks
-// applied to the engine's own source: a small pass framework (stdlib only —
-// go/parser, go/ast, go/types, go/importer) running custom analyzers that
-// enforce invariants `go vet` cannot see:
+// layer: a small pass framework (stdlib only — go/parser, go/ast, go/types,
+// go/importer) running the checks `go vet` cannot express. An analyzer
+// stays only while some seeded engine bug in mutants_test.go is caught by
+// it and by no tier-1 or -race test; its doc comment names that mutant.
 //
-//   - atomic: a struct field accessed through sync/atomic anywhere must
-//     never be read or written plainly elsewhere (the QoSHooks/TryFire
-//     pattern), and fields of typed-atomic type must not be reassigned
-//     wholesale.
-//   - lockorder: the mutex-acquisition graph derived from the AST (receiver
-//     locks vs. scheduler/executor locks) must stay acyclic.
 //   - hotpath: functions tagged //confvet:hotpath must not call time.Now
-//     (and friends), allocation-heavy fmt helpers, or iterate maps.
-//   - noalloc: functions tagged //confvet:noalloc must not contain
-//     allocating constructs (escaping composite literals, make/new/append,
-//     string concatenation, closures, interface boxing).
-//   - lifecycle: an actor's Fire must not call Initialize/Wrapup.
-//
-// The dataflow tier (cfg.go, dataflow.go) adds three flow-sensitive
-// analyzers on a per-function CFG and annotation-driven call summaries:
-//
-//   - poolsafe: pooled events (Pool.Get / ring pop) must be released
-//     exactly once or pinned before any retaining store — use-after-
-//     release, double-release, unpinned escapes and leaks on early
-//     returns are reported with the offending control-flow path.
-//   - ringsafe: SPSC rings must have a statically single producer unless
-//     the construction is //confvet:single-writer guarded, and TryPush
-//     results may not be discarded.
-//   - waitersafe: every ring.Waiter park follows the proven
-//     register→recheck→park shape from the lost-wakeup proof.
+//     (and friends), fmt, or iterate maps, and engine code must not call
+//     time.Sleep.
+//   - lockorder: the mutex-acquisition graph must stay acyclic.
 //
 // # Annotation grammar
 //
 // Directives are ordinary line comments beginning with "confvet:":
 //
-//	//confvet:hotpath            (func doc)  function is on the hot path
-//	//confvet:noalloc            (func doc)  function must not allocate
-//	//confvet:ignore             (same line) suppress diagnostics on this line
-//	//confvet:returns-poolable   (func doc)  first result is a pooled value
-//	                             the caller now owns
-//	//confvet:recycles [param]   (func doc)  callee consumes the parameter
-//	                             (releases it or takes over responsibility)
-//	//confvet:pins [param]       (func doc)  callee pins the parameter,
-//	                             making it safe to retain
-//	//confvet:single-writer      (func doc)  function routes an SPSC ring
-//	                             under a proven single-producer regime
+//	//confvet:hotpath  (func doc)   function is on the hot path
+//	//confvet:ignore   (same line)  suppress diagnostics on this line
 //
-// The ignore form documents an intentional exception at the offending line;
-// the others declare invariants the analyzers then enforce (the summary
-// grammar is specified in dataflow.go and DESIGN.md).
+// The ignore form documents an intentional exception at the offending line.
 package analysis
 
 import (
@@ -73,7 +41,7 @@ const (
 
 // Analyzer is one confvet check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics ("atomic", "lockorder", …).
+	// Name identifies the analyzer in diagnostics ("hotpath", "lockorder", …).
 	Name string
 	// Doc is the one-line description shown by confvet -list.
 	Doc string
@@ -97,65 +65,33 @@ type Pass struct {
 
 // Diagnostic is one finding, positioned at file:line.
 type Diagnostic struct {
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Column   int            `json:"column"`
-	Analyzer string         `json:"analyzer"`
-	Message  string         `json:"message"`
-	// Path is the offending control-flow path as an ordered list of line
-	// numbers (dataflow analyzers only; nil for syntactic findings).
-	Path []int `json:"path,omitempty"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Column   int    `json:"column"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
 }
 
-// String renders the go-vet-style "file:line:col: analyzer: message" form,
-// with the control-flow path appended when present.
+// String renders the go-vet-style "file:line:col: analyzer: message" form.
 func (d Diagnostic) String() string {
-	s := fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Column, d.Analyzer, d.Message)
-	if len(d.Path) > 0 {
-		parts := make([]string, len(d.Path))
-		for i, l := range d.Path {
-			parts[i] = fmt.Sprint(l)
-		}
-		s += " [path " + strings.Join(parts, " ") + "]"
-	}
-	return s
+	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Column, d.Analyzer, d.Message)
 }
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	p.report(Diagnostic{
-		Pos:      position,
 		File:     position.Filename,
 		Line:     position.Line,
 		Column:   position.Column,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportPathf records a diagnostic at pos carrying the offending
-// control-flow path (ordered line numbers).
-func (p *Pass) ReportPathf(pos token.Pos, path []int, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	p.report(Diagnostic{
-		Pos:      position,
-		File:     position.Filename,
-		Line:     position.Line,
-		Column:   position.Column,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Path:     path,
 	})
 }
 
 // Analyzers returns the full confvet analyzer suite.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		AtomicAnalyzer, LockOrderAnalyzer, HotPathAnalyzer, NoAllocAnalyzer, LifecycleAnalyzer,
-		PoolSafeAnalyzer, RingSafeAnalyzer, WaiterSafeAnalyzer,
-	}
+	return []*Analyzer{HotPathAnalyzer, LockOrderAnalyzer}
 }
 
 // Run executes the given analyzers over the loaded packages and returns the
@@ -236,7 +172,6 @@ func ignoreLines(pkgs []*Package) map[fileLine]bool {
 // Directive names.
 const (
 	directiveHotPath = "confvet:hotpath"
-	directiveNoAlloc = "confvet:noalloc"
 	directiveIgnore  = "confvet:ignore"
 )
 

@@ -36,9 +36,9 @@ func TestAnalyzerGolden(t *testing.T) {
 			var b strings.Builder
 			for _, d := range diags {
 				d.File = filepath.Base(d.File)
-				// Positions embedded in messages (atomic-access sites, cycle
-				// edges) carry absolute paths; strip the fixture dir so the
-				// golden file is location-independent.
+				// Positions embedded in messages (lock-cycle edges) carry
+				// absolute paths; strip the fixture dir so the golden file
+				// is location-independent.
 				d.Message = strings.ReplaceAll(d.Message, abs+string(filepath.Separator), "")
 				b.WriteString(d.String())
 				b.WriteByte('\n')
@@ -104,28 +104,16 @@ func TestLoadModuleInternalImport(t *testing.T) {
 
 // TestDiagnosticJSON pins the machine-readable shape.
 func TestDiagnosticJSON(t *testing.T) {
-	d := Diagnostic{File: "f.go", Line: 3, Column: 7, Analyzer: "atomic", Message: "m"}
+	d := Diagnostic{File: "f.go", Line: 3, Column: 7, Analyzer: "hotpath", Message: "m"}
 	data, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"file":"f.go","line":3,"column":7,"analyzer":"atomic","message":"m"}`
+	want := `{"file":"f.go","line":3,"column":7,"analyzer":"hotpath","message":"m"}`
 	if string(data) != want {
 		t.Errorf("got %s want %s", data, want)
 	}
-
-	// Path-bearing dataflow diagnostics render the line list; path-less
-	// ones omit the key entirely (pinned above).
-	d = Diagnostic{File: "f.go", Line: 9, Column: 2, Analyzer: "poolsafe", Message: "m", Path: []int{3, 7, 9}}
-	data, err = json.Marshal(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = `{"file":"f.go","line":9,"column":2,"analyzer":"poolsafe","message":"m","path":[3,7,9]}`
-	if string(data) != want {
-		t.Errorf("got %s want %s", data, want)
-	}
-	if s := d.String(); s != "f.go:9:2: poolsafe: m [path 3 7 9]" {
+	if s := d.String(); s != "f.go:3:7: hotpath: m" {
 		t.Errorf("String() = %q", s)
 	}
 }

@@ -35,20 +35,3 @@ func BenchmarkConfvetTree(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkConfvetDataflow isolates the three dataflow analyzers (CFG
-// construction plus the fixpoint walks) from the syntactic tier.
-func BenchmarkConfvetDataflow(b *testing.B) {
-	root := repoRoot(b)
-	pkgs, err := Load(LoadConfig{Dir: root}, "./...")
-	if err != nil {
-		b.Fatal(err)
-	}
-	tier := []*Analyzer{PoolSafeAnalyzer, RingSafeAnalyzer, WaiterSafeAnalyzer}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(tier, pkgs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

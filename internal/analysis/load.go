@@ -27,13 +27,6 @@ type Package struct {
 	// Types and Info are the go/types results.
 	Types *types.Package
 	Info  *types.Info
-	// All is the complete package set of the load — the pattern-matched
-	// packages plus every module-internal dependency type-checked along
-	// the way, sorted by import path. Whole-program analyzers use it to
-	// collect annotation summaries from packages outside the analyzed
-	// patterns (poolsafe run on ./internal/director still needs
-	// internal/event's directives). Set on every returned package.
-	All []*Package
 }
 
 // LoadConfig configures a Load.
@@ -42,9 +35,6 @@ type LoadConfig struct {
 	// The enclosing module (nearest go.mod) defines the import-path root;
 	// without one, each package loads standalone under its directory name.
 	Dir string
-	// Tests includes in-package _test.go files. External test packages
-	// (package foo_test) are never loaded.
-	Tests bool
 }
 
 // loader resolves and type-checks packages. Module-internal imports are
@@ -105,14 +95,6 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 		}
 		seen[pkg.Path] = true
 		out = append(out, pkg)
-	}
-	all := make([]*Package, 0, len(l.pkgs))
-	for _, pkg := range l.pkgs {
-		all = append(all, pkg)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Path < all[j].Path })
-	for _, pkg := range out {
-		pkg.All = all
 	}
 	return out, nil
 }
@@ -190,8 +172,7 @@ func (l *loader) hasGoFiles(dir string) bool {
 }
 
 // goFiles lists the Go files of dir that participate in the load: build
-// constraints honored, external test packages excluded, in-package test
-// files included only when cfg.Tests.
+// constraints honored, test files excluded.
 func (l *loader) goFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -204,7 +185,7 @@ func (l *loader) goFiles(dir string) ([]string, error) {
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
-		if strings.HasSuffix(name, "_test.go") && !l.cfg.Tests {
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
@@ -270,11 +251,6 @@ func (l *loader) loadDir(dir string) (*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		// External test packages (package foo_test) are separate compilation
-		// units; confvet analyzes the package proper.
-		if strings.HasSuffix(f.Name.Name, "_test") && strings.HasSuffix(name, "_test.go") {
-			continue
-		}
 		if pkgName == "" {
 			pkgName = f.Name.Name
 		}
@@ -282,9 +258,6 @@ func (l *loader) loadDir(dir string) (*Package, error) {
 			return nil, fmt.Errorf("analysis: %s: mixed packages %s and %s", dir, pkgName, f.Name.Name)
 		}
 		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, nil
 	}
 
 	info := &types.Info{

@@ -11,9 +11,16 @@ import (
 
 // LockOrderAnalyzer derives the mutex-acquisition graph from the AST and
 // rejects cycles. A lock's identity is the variable holding it — for struct
-// fields (TMReceiver.mu, Entry.qmu, scheduler policy locks) that is the
-// field itself, so every instance of a type shares one graph node and the
-// analysis checks lock *roles*, which is what a global ordering is about.
+// fields (Entry.qmu, the scheduler policy lock Base.Mu, multiwf's
+// Global.mu and Instance.mu) that is the field itself, so every instance
+// of a type shares one graph node and the analysis checks lock *roles*,
+// which is what a global ordering is about.
+//
+// It earns its place with the lock_inversion mutant (mutants_test.go):
+// Global.Run charging an instance's stride while holding Instance.mu and
+// reading g.Instances() inverts the real Global.mu → Instance.mu edge. The
+// deadlock needs a concurrent Remove or ConnectionController call to
+// bite, so no test and no -race run sees it.
 //
 // An edge A → B is added when B is acquired (directly, or transitively
 // through a statically resolvable call) while A is held. Call resolution
@@ -517,4 +524,43 @@ func (lo *lockOrder) reportCycle(cycle []*types.Var, seen map[string]bool) {
 		fmt.Fprintf(&b, " -> %s (%s)", labels[(i+1)%len(cycle)], detail)
 	}
 	lo.pass.Reportf(firstPos, "%s", b.String())
+}
+
+// fieldDisplay renders a struct field as "pkgpath.Owner.field" by locating
+// the named struct type that declares it; it falls back to "pkgpath.field"
+// for fields of anonymous structs.
+func fieldDisplay(v *types.Var) string {
+	pkg := v.Pkg()
+	if pkg == nil {
+		return v.Name()
+	}
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if st.Field(i) == v {
+				return pkg.Path() + "." + tn.Name() + "." + v.Name()
+			}
+		}
+	}
+	return pkg.Path() + "." + v.Name()
+}
+
+// varDisplay renders a lock identity: struct fields as fieldDisplay, other
+// variables as "pkgpath.name" (or the bare name for locals).
+func varDisplay(v *types.Var) string {
+	if v.IsField() {
+		return fieldDisplay(v)
+	}
+	if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+		return v.Pkg().Path() + "." + v.Name()
+	}
+	return v.Name()
 }

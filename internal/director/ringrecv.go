@@ -78,7 +78,6 @@ func NewRingReceiver(spec window.Spec, clk clock.Clock, pool *event.Pool, multiP
 // when nobody is parked).
 //
 //confvet:hotpath
-//confvet:noalloc
 func (r *RingReceiver) Put(ev *event.Event) {
 	r.in.Push(ev)
 	r.wake.Wake()
@@ -88,7 +87,6 @@ func (r *RingReceiver) Put(ev *event.Event) {
 // arrival update and one wake.
 //
 //confvet:hotpath
-//confvet:noalloc
 func (r *RingReceiver) PutBatch(evs []*event.Event) {
 	if len(evs) == 0 {
 		return

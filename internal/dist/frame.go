@@ -107,8 +107,6 @@ const (
 // event's wave as sampled upstream; origin is the sending node's identity
 // and sendNs the send-time stamp (0 = unstamped), both emitted only for
 // traced events so untraced traffic keeps the legacy byte layout.
-//
-//confvet:noalloc
 func appendEvent(buf []byte, ev *event.Event, traced bool, origin uint64, sendNs int64) []byte {
 	buf = binary.AppendVarint(buf, ev.Time.UnixNano())
 	buf = binary.AppendVarint(buf, ev.Wave.Root)
@@ -127,7 +125,7 @@ func appendEvent(buf []byte, ev *event.Event, traced bool, origin uint64, sendNs
 			flags |= wireFlagTimed
 		}
 	}
-	buf = append(buf, flags) //confvet:ignore append into the caller's reused buffer, amortized to zero growth
+	buf = append(buf, flags)
 	if traced {
 		buf = binary.AppendUvarint(buf, origin)
 		if sendNs != 0 {

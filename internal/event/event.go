@@ -157,12 +157,12 @@ type Event struct {
 	poolable bool
 	// pinned marks events that escaped exclusive single-edge ownership
 	// (retained by a window operator, fanned out to multiple destinations,
-	// or re-emitted); pinned events are never recycled. Accessed atomically:
-	// on a fan-out edge every destination's consumer pins independently, so
-	// concurrent idempotent Pins are expected. Not an atomic.Bool so the
-	// pool's zeroing struct assignment stays legal (the zeroing site owns
-	// the event exclusively).
-	pinned uint32
+	// or re-emitted); pinned events are never recycled. Typed atomic: on a
+	// fan-out edge every destination's consumer pins independently, so
+	// concurrent idempotent Pins are expected, and the type rules out a
+	// plain read. The pool's zeroing literal assignment stays legal (the
+	// zeroing site owns the event exclusively).
+	pinned atomic.Uint32
 }
 
 // Pin marks the event as retained beyond its delivery edge, excluding it
@@ -171,13 +171,11 @@ type Event struct {
 // before the pinning owner lets go of the event.
 //
 //confvet:hotpath
-//confvet:noalloc
-//confvet:pins
-func (e *Event) Pin() { atomic.StoreUint32(&e.pinned, 1) }
+func (e *Event) Pin() { e.pinned.Store(1) }
 
 // Recyclable reports whether the event may be returned to its pool: it was
 // pool-allocated and never pinned.
-func (e *Event) Recyclable() bool { return e.poolable && atomic.LoadUint32(&e.pinned) == 0 }
+func (e *Event) Recyclable() bool { return e.poolable && e.pinned.Load() == 0 }
 
 // Compare orders events by time, then wave-tag, then sequence.
 func (e *Event) Compare(o *Event) int {
@@ -238,8 +236,6 @@ func NewTimekeeper() *Timekeeper { return &Timekeeper{} }
 func (tk *Timekeeper) SetPool(p *Pool) { tk.pool = p }
 
 // newEvent allocates one event, recycled when a pool is attached.
-//
-//confvet:returns-poolable
 func (tk *Timekeeper) newEvent() *Event {
 	if tk.pool != nil {
 		return tk.pool.Get()
@@ -287,7 +283,7 @@ func (tk *Timekeeper) Stamp(tok value.Value, fallback time.Time) *Event {
 	// The staged-firing buffer is not a retaining escape: EndFiring hands
 	// every staged event to exactly one delivery edge, whose consumer
 	// releases or pins it, and produced is reset at the next BeginFiring.
-	tk.produced = append(tk.produced, ev) //confvet:ignore — staging buffer, ownership passes to the delivery edge at EndFiring
+	tk.produced = append(tk.produced, ev)
 	return ev
 }
 
@@ -365,8 +361,6 @@ func (tk *Timekeeper) pathBacking(n int) []int {
 var canon atomic.Pointer[[]int]
 
 // canonChildren returns a canonical array covering child indices 1…n.
-//
-//confvet:noalloc
 func canonChildren(n int) []int {
 	if p := canon.Load(); p != nil && len(*p) >= n {
 		return *p

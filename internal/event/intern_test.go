@@ -1,7 +1,6 @@
 package event
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,7 +104,7 @@ func TestPoolRecycleRoundTrip(t *testing.T) {
 	if got != ev {
 		t.Fatal("pool did not return the recycled event")
 	}
-	if got.Token != nil || !got.Time.IsZero() || got.Wave.Root != 0 || atomic.LoadUint32(&got.pinned) != 0 {
+	if got.Token != nil || !got.Time.IsZero() || got.Wave.Root != 0 || got.pinned.Load() != 0 {
 		t.Fatalf("recycled event not zeroed: %+v", got)
 	}
 

@@ -15,13 +15,6 @@ import "repro/internal/ring"
 // insertion into a window operator, fan-out to more than one destination,
 // re-emission via PutEvent — pins it, and a pinned event is never recycled
 // (the GC reclaims it as before).
-//
-// The protocol is no longer prose-only: the confvet poolsafe analyzer
-// (internal/analysis) enforces it statically. Sources carry
-// //confvet:returns-poolable, consumers //confvet:recycles, retainers
-// //confvet:pins, and every function between them is checked on its
-// control-flow graph for use-after-release, double-release, unpinned
-// escapes and leaks. `make lint` runs the check over the whole tree.
 type Pool struct {
 	q *ring.MPMC[*Event]
 }
@@ -40,8 +33,6 @@ func NewPool(capacity int) *Pool {
 // The caller owns the result: release it exactly once or pin it.
 //
 //confvet:hotpath
-//confvet:noalloc
-//confvet:returns-poolable
 func (p *Pool) Get() *Event {
 	if ev, ok := p.q.TryPop(); ok {
 		return ev
@@ -49,11 +40,9 @@ func (p *Pool) Get() *Event {
 	return newPoolable()
 }
 
-// newPoolable is Get's refill path, kept out of the noalloc-tagged body: it
+// newPoolable is Get's refill path, kept out of Get's body: it
 // runs only while the pool warms up or when more events are in flight than
 // the pool holds.
-//
-//confvet:returns-poolable
 func newPoolable() *Event {
 	return &Event{poolable: true}
 }
@@ -65,14 +54,12 @@ func newPoolable() *Event {
 // pool is full the event is simply left to the GC.
 //
 //confvet:hotpath
-//confvet:noalloc
-//confvet:recycles ev
 func (p *Pool) Release(ev *Event) {
 	if ev == nil || !ev.Recyclable() {
 		return
 	}
 	*ev = Event{poolable: true}
-	p.q.TryPush(ev) //confvet:ignore — a full pool intentionally drops the event to the GC
+	p.q.TryPush(ev) // a full pool leaves the event to the GC
 }
 
 // Idle reports how many recycled events the pool currently holds (tests).

@@ -109,7 +109,6 @@ func (c *FireContext) SetPuller(f func(*Port) (*window.Window, bool)) { c.puller
 // Stage places a window on an input port for the upcoming firing.
 //
 //confvet:hotpath
-//confvet:noalloc
 func (c *FireContext) Stage(p *Port, w *window.Window) {
 	for i := range c.staged {
 		if c.staged[i].port == p {
@@ -117,7 +116,7 @@ func (c *FireContext) Stage(p *Port, w *window.Window) {
 			return
 		}
 	}
-	c.staged = append(c.staged, stagedWindow{port: p, win: w}) //confvet:ignore append into retained capacity
+	c.staged = append(c.staged, stagedWindow{port: p, win: w})
 }
 
 // BeginFiring resets the per-firing state. The trigger event (the newest
@@ -227,8 +226,6 @@ func (c *FireContext) PutAt(p *Port, tok value.Value, ts time.Time) {
 // boundaries. The event bypasses the timekeeper's wave re-tagging. Re-
 // emission gives the event a second life beyond the edge it arrived on, so
 // it is pinned out of the recycling protocol.
-//
-//confvet:pins ev
 func (c *FireContext) PutEvent(p *Port, ev *event.Event) {
 	ev.Pin()
 	c.emissions = append(c.emissions, Emission{Port: p, Ev: ev})

@@ -286,6 +286,30 @@ func (c *countedClock) Now() time.Time {
 	return c.Virtual.Now()
 }
 
+// TestPutEventPinsPooledEvent pins re-emission's half of the ownership
+// protocol: an event put back out unchanged outlives the edge it arrived
+// on, so the arrival edge's release at its recycle point must leave it
+// alone rather than zero it and hand it to the next Get.
+func TestPutEventPinsPooledEvent(t *testing.T) {
+	pool := event.NewPool(4)
+	ctx := NewFireContext(clock.NewVirtual(), event.NewTimekeeper())
+	a := newPassActor("A")
+	in := pool.Get()
+	in.Token = value.Int(7)
+
+	ctx.BeginFiring(in)
+	ctx.PutEvent(a.out, in)
+	ems := ctx.EndFiring()
+	pool.Release(in) // the arrival edge's consumer recycles its input
+
+	if len(ems) != 1 || ems[0].Ev != in {
+		t.Fatalf("emissions %v, want the input re-emitted", ems)
+	}
+	if in.Token == nil || pool.Idle() != 0 {
+		t.Errorf("re-emitted event was recycled (token %v, %d idle in pool)", in.Token, pool.Idle())
+	}
+}
+
 // TestFireContextPutSkipsClockInsideWave: a token put while a firing has a
 // triggering event takes the trigger's time, so Put must not read the clock
 // for a fallback nobody uses — and must still read it, and stamp what it

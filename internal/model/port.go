@@ -122,7 +122,6 @@ func (p *Port) Connected() bool {
 // receiver has more than one owner, so no single consumer may recycle it.
 //
 //confvet:hotpath
-//confvet:noalloc
 func (p *Port) BroadcastBatch(evs []*event.Event) {
 	if len(evs) == 0 {
 		return

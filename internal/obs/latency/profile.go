@@ -88,7 +88,6 @@ func NewProfile(resolver Resolver) *Profile {
 // counts it.
 //
 //confvet:hotpath
-//confvet:noalloc
 func (p *Profile) NoteEndpoint(root int64, rootSeq uint64) {
 	if p == nil {
 		return

@@ -9,8 +9,8 @@ import (
 
 // BenchmarkProvRecord measures the store's hot-path append with segment
 // rotation and eviction in steady state. The allocs/op column must read 0:
-// Record is //confvet:noalloc and rotation recycles the eviction spare
-// (TestSegmentRecyclingReusesSpare asserts it).
+// rotation recycles the eviction spare (TestSegmentRecyclingReusesSpare
+// asserts it).
 func BenchmarkProvRecord(b *testing.B) {
 	s := NewStore(Options{SegmentHops: 1024, MaxSegments: 64})
 	h := Hop{

@@ -11,10 +11,10 @@
 // follows the PR 6 zero-alloc idioms: hops are fixed-size structs written
 // into pre-allocated segment arrays under a lock-striped mutex, segment
 // rotation reuses evicted segments through a per-stripe spare, and the slow
-// allocation path lives outside the //confvet:noalloc-tagged body exactly
-// like event.Pool's refill. Queries (by wave, by actor + time range,
-// ancestor/descendant walks) scan the bounded segment set under the stripe
-// locks and return copies, so readers never pin store memory.
+// allocation path lives outside Record exactly like event.Pool's refill.
+// Queries (by wave, by actor + time range, ancestor/descendant walks) scan
+// the bounded segment set under the stripe locks and return copies, so
+// readers never pin store memory.
 package prov
 
 import (
@@ -215,8 +215,6 @@ func NewStore(opts Options) *Store {
 // WaveHash mixes a wave identity into a well-distributed 64-bit value
 // (splitmix64 finalizer). Stripe selection here and the sampling decision in
 // obs.Tracer share it.
-//
-//confvet:noalloc
 func WaveHash(root int64, rootSeq uint64) uint64 {
 	x := uint64(root) ^ (rootSeq * 0x9e3779b97f4a7c15)
 	x ^= x >> 30
@@ -230,11 +228,9 @@ func WaveHash(root int64, rootSeq uint64) uint64 {
 // Record appends one hop. The caller has already made the sampling
 // decision; Record never blocks beyond its stripe mutex and allocates
 // nothing in steady state (segment rotation reuses the eviction spare; the
-// cold refill lives in rotate, off this tagged body, following the
-// event.Pool idiom).
+// cold refill lives in rotate, following the event.Pool idiom).
 //
 //confvet:hotpath
-//confvet:noalloc
 func (s *Store) Record(h Hop) {
 	if s == nil {
 		return
@@ -262,7 +258,7 @@ func (s *Store) Record(h Hop) {
 // rotate seals the stripe's active segment, evicts beyond the retention
 // bound (recycling the newest eviction as the stripe's spare) and installs
 // a fresh active segment. Called with st.mu held; this is the allocation
-// slow path kept out of Record's noalloc body.
+// slow path kept out of Record.
 func (s *Store) rotate(st *stripe) *segment {
 	if st.active != nil {
 		st.sealed = append(st.sealed, st.active)

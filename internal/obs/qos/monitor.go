@@ -1,3 +1,11 @@
+// Package qos implements the continuous QoS monitor of the introspection
+// layer: sliding-window latency sketches, declarative SLO specs with
+// multi-window burn-rate alerting, per-actor bottleneck watermarks, and an
+// SLO-triggered flight recorder over the scheduler's decision stream. It
+// subscribes to the obs.Engine hook stream (obs.QoSHooks) and mounts /slo
+// and /debug/flightrecorder on the introspection server. The quantile
+// sketch itself lives in internal/obs/sketch, shared with the latency
+// attribution engine.
 package qos
 
 import (
@@ -11,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/sketch"
 )
 
 // Options configures a Monitor.
@@ -30,7 +39,7 @@ type Options struct {
 // sinkTracker is the latency window of one tracked sink actor.
 type sinkTracker struct {
 	name string
-	win  *windowedSketch
+	win  *sketch.Windowed
 }
 
 // Monitor is the continuous QoS monitor: it subscribes to an obs.Engine's
@@ -112,7 +121,7 @@ func (m *Monitor) TrackSink(names ...string) {
 		if t.sink != nil {
 			continue
 		}
-		st := &sinkTracker{name: name, win: newWindowedSketch(m.opts.SlotWidth, m.opts.Slots)}
+		st := &sinkTracker{name: name, win: sketch.NewWindowed(m.opts.SlotWidth, m.opts.Slots)}
 		t.sink = st
 		m.sinks = append(m.sinks, st)
 		sort.Slice(m.sinks, func(i, j int) bool { return m.sinks[i].name < m.sinks[j].name })
@@ -362,7 +371,7 @@ func (m *Monitor) Snapshot() Report {
 // registered only here, so an engine without a monitor keeps its exposition
 // unchanged.
 func (m *Monitor) registerSeries(r *obs.Registry) {
-	perSink := func(f func(name string, snap Snapshot) float64) func(emit func(string, float64)) {
+	perSink := func(f func(name string, snap sketch.Snapshot) float64) func(emit func(string, float64)) {
 		return func(emit func(string, float64)) {
 			now := m.now()
 			m.mu.Lock()
@@ -375,19 +384,19 @@ func (m *Monitor) registerSeries(r *obs.Registry) {
 	}
 	r.RegisterCollector("confluence_qos_latency_p50_seconds",
 		"Windowed p50 end-to-end wave latency by sink.", "gauge", "sink",
-		perSink(func(_ string, s Snapshot) float64 { return s.Quantile(0.50).Seconds() }))
+		perSink(func(_ string, s sketch.Snapshot) float64 { return s.Quantile(0.50).Seconds() }))
 	r.RegisterCollector("confluence_qos_latency_p95_seconds",
 		"Windowed p95 end-to-end wave latency by sink.", "gauge", "sink",
-		perSink(func(_ string, s Snapshot) float64 { return s.Quantile(0.95).Seconds() }))
+		perSink(func(_ string, s sketch.Snapshot) float64 { return s.Quantile(0.95).Seconds() }))
 	r.RegisterCollector("confluence_qos_latency_p99_seconds",
 		"Windowed p99 end-to-end wave latency by sink.", "gauge", "sink",
-		perSink(func(_ string, s Snapshot) float64 { return s.Quantile(0.99).Seconds() }))
+		perSink(func(_ string, s sketch.Snapshot) float64 { return s.Quantile(0.99).Seconds() }))
 	r.RegisterCollector("confluence_qos_latency_max_seconds",
 		"Windowed max end-to-end wave latency by sink.", "gauge", "sink",
-		perSink(func(_ string, s Snapshot) float64 { return s.Max().Seconds() }))
+		perSink(func(_ string, s sketch.Snapshot) float64 { return s.Max().Seconds() }))
 	r.RegisterCollector("confluence_qos_latency_count",
 		"Samples in the latency window by sink.", "gauge", "sink",
-		perSink(func(_ string, s Snapshot) float64 { return float64(s.Total) }))
+		perSink(func(_ string, s sketch.Snapshot) float64 { return float64(s.Total) }))
 
 	perSLO := func(f func(t *sloTracker, now time.Time) float64) func(emit func(string, float64)) {
 		return func(emit func(string, float64)) {

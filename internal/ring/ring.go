@@ -39,9 +39,7 @@ type Queue[T any] interface {
 	TryPush(v T) bool
 	// TryPop dequeues the oldest element, reporting false when empty.
 	// When T is a pooled event type, the caller takes ownership of the
-	// popped value (poolsafe tracks it from here to its release or pin).
-	//
-	//confvet:returns-poolable
+	// popped value.
 	TryPop() (T, bool)
 	// Len approximates the number of queued elements.
 	Len() int
@@ -94,7 +92,6 @@ func NewSPSC[T any](capacity int) *SPSC[T] {
 // TryPush implements Queue. Producer goroutine only.
 //
 //confvet:hotpath
-//confvet:noalloc
 func (q *SPSC[T]) TryPush(v T) bool {
 	if q.prodTail-q.headCache >= uint64(len(q.buf)) {
 		q.headCache = q.head.Load()
@@ -112,8 +109,6 @@ func (q *SPSC[T]) TryPush(v T) bool {
 // zeroed so the ring does not retain popped elements.
 //
 //confvet:hotpath
-//confvet:noalloc
-//confvet:returns-poolable
 func (q *SPSC[T]) TryPop() (T, bool) {
 	var zero T
 	if q.consHead == q.tailCache {
@@ -179,7 +174,6 @@ func NewMPMC[T any](capacity int) *MPMC[T] {
 // TryPush implements Queue. Safe from any number of goroutines.
 //
 //confvet:hotpath
-//confvet:noalloc
 func (q *MPMC[T]) TryPush(v T) bool {
 	for {
 		pos := q.tail.Load()
@@ -204,8 +198,6 @@ func (q *MPMC[T]) TryPush(v T) bool {
 // slot is zeroed so the ring does not retain popped elements.
 //
 //confvet:hotpath
-//confvet:noalloc
-//confvet:returns-poolable
 func (q *MPMC[T]) TryPop() (T, bool) {
 	var zero T
 	for {

@@ -62,7 +62,6 @@ func (w *Waiter) Gen() uint64 { return w.gen.Load() }
 // uncontended atomic operations.
 //
 //confvet:hotpath
-//confvet:noalloc
 func (w *Waiter) Wake() {
 	w.gen.Add(1)
 	if w.waiters.Load() > 0 {

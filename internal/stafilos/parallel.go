@@ -431,7 +431,6 @@ func (d *ParallelDirector) coordinate(ctx context.Context) {
 // when everyone is busy or still spinning, one broadcast otherwise.
 //
 //confvet:hotpath
-//confvet:noalloc
 func (d *ParallelDirector) kick() {
 	d.wake.Wake()
 }

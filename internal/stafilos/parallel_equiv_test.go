@@ -219,6 +219,62 @@ func TestSequentialParallelEquivalenceWindowed(t *testing.T) {
 	}
 }
 
+// TestParallelFanInToWindowedPort merges both diamond branches into one
+// windowed port, which therefore has two upstream writers. The parallel
+// director must give it the multi-producer ring: an SPSC ring shared by
+// two workers loses or duplicates events, and -race reports the
+// producers' unsynchronized cursor. Every token arrives exactly once.
+func TestParallelFanInToWindowedPort(t *testing.T) {
+	const n, winSize = 4000, 4
+	wf := model.NewWorkflow("windowed-fan-in")
+	src := actors.NewGenerator("src", time.Now().Add(-time.Minute), time.Microsecond, n,
+		func(i int) value.Value { return value.Int(int64(i)) })
+	branch := func(name string, f func(int64) int64) *actors.Func {
+		return actors.NewFunc(name, window.Passthrough(),
+			func(_ *model.FireContext, w *window.Window, emit func(value.Value)) error {
+				for _, tok := range w.Tokens() {
+					emit(value.Int(f(int64(tok.(value.Int)))))
+				}
+				return nil
+			})
+	}
+	left := branch("left", func(v int64) int64 { return 2 * v })
+	right := branch("right", func(v int64) int64 { return 2*v + 1 })
+	merge := actors.NewFunc("merge", window.Continuous(winSize),
+		func(_ *model.FireContext, w *window.Window, emit func(value.Value)) error {
+			for _, tok := range w.Tokens() {
+				emit(tok)
+			}
+			return nil
+		})
+	sink := actors.NewCollect("sink")
+	wf.MustAdd(src, left, right, merge, sink)
+	wf.MustConnect(src.Out(), left.In())
+	wf.MustConnect(src.Out(), right.In())
+	wf.MustConnect(left.Out(), merge.In())
+	wf.MustConnect(right.Out(), merge.In())
+	wf.MustConnect(merge.Out(), sink.In())
+
+	d := stafilos.NewParallelDirector(sched.NewFIFO(), stafilos.Options{SourceInterval: 5}, 4)
+	if err := d.Setup(wf); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := d.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	got := sortedInts(t, sink.Tokens)
+	if len(got) != 2*n {
+		t.Fatalf("merge delivered %d tokens, want %d", len(got), 2*n)
+	}
+	for i, v := range got {
+		if v != int64(i) {
+			t.Fatalf("token[%d] = %d, want %d (lost or duplicated event)", i, v, i)
+		}
+	}
+}
+
 // TestParallelDirectorPeakFanOut asserts, through the public accessor, that
 // a fan-out workflow with 4 workers genuinely overlaps firings: the
 // observed peak concurrency exceeds one.

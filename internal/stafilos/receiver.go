@@ -126,7 +126,6 @@ func (r *TMReceiver) MarkSingleWriter() {
 // and then a drain attempt (the CAS winner runs the operator).
 //
 //confvet:hotpath
-//confvet:noalloc
 func (r *TMReceiver) Put(ev *event.Event) {
 	now := r.clk.Now()
 	if r.entry != nil {
@@ -171,7 +170,7 @@ func (r *TMReceiver) putBatchPass(evs []*event.Event, now time.Time) {
 	if r.enqueueBatch != nil && r.pbusy.CompareAndSwap(false, true) {
 		items := r.pitems[:0]
 		for _, ev := range evs {
-			items = append(items, NewItemAt(r.owner, r.port, window.Wrap(r.shell(), ev), now)) //confvet:ignore append into retained scratch, amortized
+			items = append(items, NewItemAt(r.owner, r.port, window.Wrap(r.shell(), ev), now))
 		}
 		r.enqueueBatch(items)
 		r.pitems = items[:0]
@@ -264,7 +263,6 @@ func (r *TMReceiver) handOff(ws []*window.Window, exp []*event.Event, now time.T
 // not produced by this receiver, is a protocol violation.
 //
 //confvet:hotpath
-//confvet:noalloc
 func (r *TMReceiver) Recycle(w *window.Window) {
 	if w == nil {
 		return

@@ -78,8 +78,6 @@ type Inbox struct {
 // proves a single upstream writer at a time; then Push and PushBatch are
 // two entry points of one goroutine and never race on the SPSC ring.
 // Calling Init again before any traffic replaces ring and operator.
-//
-//confvet:single-writer
 func (in *Inbox) Init(spec Spec, multiProducer bool, capacity int) {
 	if capacity <= 0 {
 		capacity = InboxCap
@@ -103,7 +101,6 @@ func (in *Inbox) Init(spec Spec, multiProducer bool, capacity int) {
 // hatch, then the arrival count.
 //
 //confvet:hotpath
-//confvet:noalloc
 func (in *Inbox) Push(ev *event.Event) {
 	if in.ofActive.Load() || !in.q.TryPush(ev) {
 		in.putSlow(ev)
@@ -114,7 +111,6 @@ func (in *Inbox) Push(ev *event.Event) {
 // PushBatch delivers a whole emission set under one arrival update.
 //
 //confvet:hotpath
-//confvet:noalloc
 func (in *Inbox) PushBatch(evs []*event.Event) {
 	for _, ev := range evs {
 		if in.ofActive.Load() || !in.q.TryPush(ev) {
@@ -140,8 +136,6 @@ func (in *Inbox) putSlow(ev *event.Event) {
 // a fresh overflow swap. Consumer only.
 //
 //confvet:hotpath
-//confvet:noalloc
-//confvet:returns-poolable
 func (in *Inbox) Pop() (*event.Event, bool) {
 	if in.pendHead < len(in.pend) {
 		ev := in.pend[in.pendHead]
@@ -172,8 +166,6 @@ func (in *Inbox) Pop() (*event.Event, bool) {
 // takeOverflow swaps the overflow list out and serves its first event. The
 // previous pend backing array becomes the next overflow, so the two
 // buffers ping-pong without allocation at steady state.
-//
-//confvet:returns-poolable
 func (in *Inbox) takeOverflow() (*event.Event, bool) {
 	in.ofMu.Lock()
 	in.pend, in.overflow = in.overflow, in.pend[:0]
@@ -236,8 +228,6 @@ func (in *Inbox) publishOp() {
 
 // HasRaw reports whether counted raw events remain unpopped (ring, overflow
 // or swapped-out pend).
-//
-//confvet:noalloc
 func (in *Inbox) HasRaw() bool {
 	return in.arrivals.Load() > in.taken.Load()
 }
@@ -270,7 +260,6 @@ func (in *Inbox) NextDeadline() (time.Time, bool) {
 // goroutine.
 //
 //confvet:hotpath
-//confvet:noalloc
 func (in *Inbox) Recycle(w *Window) {
 	clear(w.Events)
 	w.Events = w.Events[:0]
@@ -281,9 +270,8 @@ func (in *Inbox) Recycle(w *Window) {
 // full list leaves the surplus shell to the GC.
 //
 //confvet:hotpath
-//confvet:noalloc
 func PutShell(free *ring.MPMC[*Window], w *Window) {
-	free.TryPush(w) //confvet:ignore — shell free-list: a surplus shell is left to the GC by design
+	free.TryPush(w)
 }
 
 // Wrap turns one passthrough event into a single-event window, reusing
@@ -294,8 +282,6 @@ func PutShell(free *ring.MPMC[*Window], w *Window) {
 // point, so from the caller's perspective Wrap consumes it.
 //
 //confvet:hotpath
-//confvet:noalloc
-//confvet:recycles ev
 func Wrap(shell *Window, ev *event.Event) *Window {
 	if shell == nil {
 		shell = newShell()

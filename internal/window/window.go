@@ -376,8 +376,6 @@ func (o *Operator) Spec() Spec { return o.spec }
 // the windows copy the pointers out. Insertion pins ev: a windowed event
 // outlives its edge (it may appear in several sliding windows), so it
 // leaves the recycling protocol here.
-//
-//confvet:pins ev
 func (o *Operator) Put(ev *event.Event, now time.Time) []*Window {
 	g := o.group(ev)
 	out := o.begin()
