@@ -78,15 +78,65 @@ var mutants = []mutant{
 		name: "wait_no_recheck", file: "internal/director/ringrecv.go",
 		before:   "\t\tif r.in.HasRaw() || r.closed.Load() {\n\t\t\tcontinue\n\t\t}\n\t\tr.busy.Store(false)\n",
 		after:    "\t\tr.busy.Store(false)\n",
-		caughtBy: "internal/lr:TestLinearRoadRealTimePNCWF",
+		caughtBy: "internal/director:TestRingReceiverWakesParkedConsumer",
 	},
-	// the overflow-before-ring reorder: Pop serves the overflow list before a
-	// refilled ring.
+	// a back-pressured producer parks without re-reading the backlog after it
+	// registered (lost wakeup: it sleeps until its stall timer).
 	{
-		name: "overflow_reorder", file: "internal/window/inbox.go",
-		before:   "\tif ev, ok := in.q.TryPop(); ok {\n\t\tin.taken.Add(1)\n\t\treturn ev, true\n\t}\n\treturn in.takeOverflow()\n",
-		after:    "\treturn in.takeOverflow()\n",
-		caughtBy: "internal/window:TestInboxRefilledRingPrecedesOverflow",
+		name: "producer_no_recheck", file: "internal/director/ringrecv.go",
+		before:   "\t\tif raw, taken = r.in.Backlog(); raw < backlogMark {\n\t\t\tbreak\n\t\t}\n\t\tif !armed {\n",
+		after:    "\t\tif !armed {\n",
+		caughtBy: "internal/director:TestProducerWaitWokenByConsumerPop",
+	},
+	// a producer waits on a full edge for as long as it stays full: no stall
+	// escape, so a cycle, a pulling join or a cancelled consumer deadlocks.
+	{
+		name: "stall_no_escape", file: "internal/director/ringrecv.go",
+		before:   "\t\t\tif taken == since {\n",
+		after:    "\t\t\tif taken == since && false {\n",
+		caughtBy: "internal/director:TestBackPressureCancelWhileParked",
+	},
+	// no back-pressure: PNCWF producers never wait, and a fast source runs
+	// past the event pool.
+	{
+		name: "no_backpressure", file: "internal/director/pncwf.go",
+		before:   "\t\tif e.est >= backlogMark {\n",
+		after:    "\t\tif false && e.est >= backlogMark {\n",
+		caughtBy: "internal/director:TestPNCWFPipeDrainAllocs",
+	},
+	// the late-pusher reorder: the overflow swap does not count the ring
+	// slots claimed before it, so Pop serves the overflow list before them.
+	{
+		name: "late_pusher_reorder", file: "internal/window/inbox.go",
+		before:   "\tin.ringFirst = in.q.Len()\n",
+		after:    "\tin.ringFirst = 0\n",
+		caughtBy: "internal/window:TestInboxLatePusherPrecedesOverflow",
+	},
+	// one allocation in 64 on each zero-alloc path, which a gate that
+	// averages (and truncates) per operation reads as 0.
+	{
+		name: "firing_loop_alloc", file: "internal/model/context.go",
+		before:   "func BroadcastEmissions(emissions []Emission, scratch []*event.Event) []*event.Event {\n",
+		after:    "var calls64 int\n\nfunc BroadcastEmissions(emissions []Emission, scratch []*event.Event) []*event.Event {\n\tif calls64++; calls64%64 == 0 {\n\t\tscratch = nil\n\t}\n",
+		caughtBy: "internal/director:TestFiringLoopZeroAlloc",
+	},
+	{
+		name: "scwf_delivery_alloc", file: "internal/window/inbox.go",
+		before:   "func Wrap(shell *Window, ev *event.Event) *Window {\n",
+		after:    "var calls64 int\n\nfunc Wrap(shell *Window, ev *event.Event) *Window {\n\tif calls64++; calls64%64 == 0 {\n\t\tshell = nil\n\t}\n",
+		caughtBy: "internal/stafilos:TestSCWFPassthroughDeliveryZeroAlloc",
+	},
+	{
+		name: "encode_event_alloc", file: "internal/dist/frame.go",
+		before:   "func appendEvent(buf []byte, ev *event.Event, traced bool, origin uint64, sendNs int64) []byte {\n",
+		after:    "var calls64 int\n\nfunc appendEvent(buf []byte, ev *event.Event, traced bool, origin uint64, sendNs int64) []byte {\n\tif calls64++; calls64%64 == 0 {\n\t\tbuf = append(make([]byte, 0, cap(buf)), buf...)\n\t}\n",
+		caughtBy: "internal/dist:TestAppendEventZeroAlloc",
+	},
+	{
+		name: "binary_codec_alloc", file: "internal/value/binary.go",
+		before:   "func AppendBinary(buf []byte, v Value) []byte {\n",
+		after:    "var calls64 int\n\nfunc AppendBinary(buf []byte, v Value) []byte {\n\tif calls64++; calls64%64 == 0 {\n\t\tbuf = append(make([]byte, 0, cap(buf)), buf...)\n\t}\n",
+		caughtBy: "internal/value:TestAppendBinaryZeroAlloc",
 	},
 	// time.Now in a //confvet:hotpath function instead of the receiver's
 	// clock.

@@ -4,6 +4,7 @@
 package director
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -15,10 +16,12 @@ import (
 	"repro/internal/window"
 )
 
-// TestFiringLoopZeroAlloc replicates one steady-state turn of the engine's
+// TestFiringLoopZeroAlloc replicates steady-state turns of the engine's
 // firing loop synchronously — source stamping, ring delivery, consumer
 // batch, map firing, downstream broadcast, sink drain, recycle — and
-// requires it to allocate nothing. Everything the loop touches must come
+// requires 200 of them to allocate nothing, counted exactly:
+// AllocsPerRun(1, …) divides by one, where a per-turn average would
+// truncate an allocation made less often than once a turn to zero. Everything the loop touches must come
 // from the event pool, the window free-lists, the interned wave-tag
 // backing and the reused buffers; a single alloc/op here is a regression
 // in the million-events/sec path. (Token construction is excluded: tokens
@@ -91,7 +94,57 @@ func TestFiringLoopZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		round()
 	}
-	if avg := testing.AllocsPerRun(200, round); avg != 0 {
-		t.Fatalf("steady-state firing loop allocates %.2f allocs/op, want 0", avg)
+	const rounds = 200
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d steady-state firing-loop rounds allocate %.0f objects, want 0", rounds, allocs)
+	}
+}
+
+// TestPNCWFPipeDrainAllocs is the back-pressure gate: a 4-edge PNCWF
+// pipeline (source → 3 identity maps → sink) drains 200k back-dated events,
+// set-up included, inside one AllocsPerRun(1, …), and may allocate at most
+// 0.05 objects per event in total. Every producer waits on a full edge, so
+// no more events are in flight than the rings hold and the event pool
+// recycles them; a producer that ran ahead would miss the pool on most
+// events. The count is exact: AllocsPerRun(1, …) divides by one.
+func TestPNCWFPipeDrainAllocs(t *testing.T) {
+	const n = 200_000
+	items := backdated(n) // tokens boxed here, outside the count
+	var got int
+	allocs := testing.AllocsPerRun(1, func() {
+		got = 0
+		wf := model.NewWorkflow("drain")
+		src := actors.NewSource("src", actors.NewSliceFeed(items), 64)
+		m1 := actors.NewMap("m1", identity)
+		m2 := actors.NewMap("m2", identity)
+		m3 := actors.NewMap("m3", identity)
+		sink := actors.NewSink("sink", window.Passthrough(), func(_ *model.FireContext, w *window.Window) error {
+			got += w.Len()
+			return nil
+		})
+		wf.MustAdd(src, m1, m2, m3, sink)
+		wf.MustConnect(src.Out(), m1.In())
+		wf.MustConnect(m1.Out(), m2.In())
+		wf.MustConnect(m2.Out(), m3.In())
+		wf.MustConnect(m3.Out(), sink.In())
+		d := NewPNCWF(PNCWFOptions{})
+		if err := d.Setup(wf); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != n {
+		t.Fatalf("sink got %d events, want %d", got, n)
+	}
+	t.Logf("%d events drained with %.0f allocations (%.4f per event)", n, allocs, allocs/n)
+	if limit := 0.05 * n; allocs > limit {
+		t.Errorf("draining %d events allocated %.0f objects, want at most %.0f", n, allocs, limit)
 	}
 }

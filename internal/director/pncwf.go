@@ -264,22 +264,63 @@ func (d *PNCWF) quiescent() bool {
 	return true
 }
 
+// outEdges lists the receivers a's emissions land in: the edges a waits on
+// before it fires. An edge back into a itself is left out, since a would
+// wait on its own consumption.
+func (d *PNCWF) outEdges(a model.Actor) []*outEdge {
+	var outs []*outEdge
+	for _, p := range a.Outputs() {
+		for _, dst := range p.Destinations() {
+			if r, ok := d.receivers[dst]; ok && dst.Owner() != a {
+				outs = append(outs, &outEdge{r: r, stalledAt: -1})
+			}
+		}
+	}
+	return outs
+}
+
+// throttle holds a producer, before it fires, on every out-edge whose
+// backlog estimate reached backlogMark (see outEdge.wait).
+//
+//confvet:hotpath
+func throttle(outs []*outEdge) {
+	for _, e := range outs {
+		if e.est >= backlogMark {
+			e.wait()
+		}
+	}
+}
+
+// admit adds a firing batch's emissions to every out-edge's backlog
+// estimate: exact for a single output, an over-estimate (an early read) for
+// several.
+//
+//confvet:hotpath
+func admit(outs []*outEdge, n int) {
+	for _, e := range outs {
+		e.est += int64(n)
+	}
+}
+
 // runSource is the thread controller for a source actor: it fires whenever
-// external data is available, sleeping until the next event otherwise. Like
-// runActor it reads the clock twice per firing: before the firing, and
-// after the broadcast, which dates the statistics record.
+// external data is available, sleeping until the next event otherwise, and
+// waits first while an out-edge's backlog is high. Like runActor it reads
+// the clock twice per firing: before the firing, and after the broadcast,
+// which dates the statistics record.
 //
 //confvet:hotpath
 func (d *PNCWF) runSource(ctx context.Context, a model.Actor) error {
 	fctx := model.NewFireContext(d.clk, event.NewTimekeeper())
 	fctx.Timekeeper().SetPool(d.pool)
 	entry := d.stats.Entry(a.Name())
+	outs := d.outEdges(a)
 	var scratch []*event.Event
 	sa, _ := a.(model.SourceActor)
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil
 		}
+		throttle(outs)
 		fctx.BeginFiring(nil)
 		start := d.clk.Now()
 		if err := model.Invoke(a, fctx); err != nil {
@@ -287,6 +328,7 @@ func (d *PNCWF) runSource(ctx context.Context, a model.Actor) error {
 		}
 		emissions := fctx.EndFiring()
 		scratch = model.BroadcastEmissions(emissions, scratch)
+		admit(outs, len(emissions))
 		end := d.clk.Now()
 		entry.RecordFiring(end.Sub(start), 0, len(emissions), end)
 		if fctx.Stopped() {
@@ -331,16 +373,20 @@ func (d *PNCWF) napUntilNextEvent(ctx context.Context, a model.Actor) {
 // BroadcastBatch — the downstream receiver lock over the whole run.
 const fireBatchMax = 64
 
-// runActor is the thread controller for an internal actor: it blocks
-// reading from its input ports until windows are produced, then fires the
-// actor once per ready window (up to fireBatchMax per wake-up) and delivers
-// the batch's combined emissions through the batched transport.
+// runActor is the thread controller for an internal actor: it waits while
+// an out-edge's backlog is high, blocks reading from its input ports until
+// windows are produced, then fires the actor once per ready window (up to
+// fireBatchMax per wake-up) and delivers the batch's combined emissions
+// through the batched transport. Waiting before it takes a batch, not
+// holding one, leaves its own input to fill, so back-pressure reaches the
+// sources one edge at a time.
 //
 //confvet:hotpath
 func (d *PNCWF) runActor(ctx context.Context, a model.Actor) error {
 	fctx := model.NewFireContext(d.clk, event.NewTimekeeper())
 	fctx.Timekeeper().SetPool(d.pool)
 	entry := d.stats.Entry(a.Name())
+	outs := d.outEdges(a)
 	var scratch []*event.Event
 	var wbuf []*window.Window
 	var emitted []model.Emission
@@ -361,6 +407,7 @@ func (d *PNCWF) runActor(ctx context.Context, a model.Actor) error {
 		if err := ctx.Err(); err != nil {
 			return nil
 		}
+		throttle(outs)
 		ws, ok := recv.GetBatch(wbuf[:0], fireBatchMax)
 		if !ok {
 			return nil
@@ -395,6 +442,7 @@ func (d *PNCWF) runActor(ctx context.Context, a model.Actor) error {
 			}
 		}
 		scratch = model.BroadcastEmissions(emitted, scratch)
+		admit(outs, len(emitted))
 		end := d.clk.Now()
 		entry.RecordFirings(fired, end.Sub(start), consumed, len(emitted), end)
 		// Recycle point of the event ownership protocol: the batch has been

@@ -1,6 +1,7 @@
 package director
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -18,12 +19,41 @@ const ringFreeWindows = 2 * fireBatchMax
 // operator before handing out what they produced.
 const ingestMax = 4 * fireBatchMax
 
+// backlogMark is the raw backlog at which a PNCWF producer waits for an
+// out-edge's consumer before it fires again. A firing batch admitted below
+// it always fits the ring, so the overflow list is left as the escape of a
+// stalled wait.
+const backlogMark = window.InboxCap - fireBatchMax
+
+// stallBound is how long a producer waits on an edge whose consumer takes
+// nothing before it gives up waiting. The consumer is then blocked on the
+// producer itself (a cycle, or a multi-input actor pulling another port),
+// where only a growing buffer lets the workflow progress, or it has
+// stopped for a cancellation, where the producer must get back to its own
+// cancellation check. It spans three of the Go scheduler's 10 ms
+// preemption slices, so a consumer that is runnable but descheduled takes
+// again within it: at 5 ms, a back-pressured pipeline under the race
+// detector at GOMAXPROCS=1 stalled often enough to miss the event pool on
+// half its events.
+const stallBound = 30 * time.Millisecond
+
+// Test seams, nil outside tests. Each runs on a waiting goroutine just
+// before it snapshots the generation it will park on: the window in which
+// a missing re-check loses a wakeup.
+var (
+	testHookConsumerPark func()
+	testHookProducerPark func()
+)
+
 // RingReceiver is the Windowed Receiver of the thread-based engine: a
 // window.Inbox (lock-free ring, sticky overflow, consumer-owned window
 // operator — see there for the ordering and counting protocols) plus this
 // engine's hand-off. Producers push and Wake; the consuming actor thread
 // spins, yields, then parks on the edge's Waiter, and forces due timed
-// windows itself, as the paper's PNCWF threads do.
+// windows itself, as the paper's PNCWF threads do. Back-pressure runs the
+// other way on a second Waiter: a producer facing a backlog at backlogMark
+// parks on room before it fires (outEdge.wait), and the consumer wakes it
+// after popping.
 //
 // Passthrough edges (the default, and the hot path) bypass the operator:
 // each popped event is wrapped in a single-event window drawn from a fixed
@@ -36,6 +66,7 @@ const ingestMax = 4 * fireBatchMax
 type RingReceiver struct {
 	in   window.Inbox
 	wake *ring.Waiter
+	room *ring.Waiter
 	clk  clock.Clock
 	pool *event.Pool // nil disables recycling
 
@@ -56,6 +87,8 @@ type RingReceiver struct {
 	// drained while its consumer still holds work.
 	busy   atomic.Bool
 	closed atomic.Bool
+	// parked counts producers registered to wait on room.
+	parked atomic.Int32
 }
 
 // NewRingReceiver builds a receiver for the given window spec.
@@ -65,6 +98,7 @@ type RingReceiver struct {
 func NewRingReceiver(spec window.Spec, clk clock.Clock, pool *event.Pool, multiProducer bool, capacity int) *RingReceiver {
 	r := &RingReceiver{
 		wake:        ring.NewWaiter(),
+		room:        ring.NewWaiter(),
 		clk:         clk,
 		pool:        pool,
 		passthrough: spec.IsPassthrough(),
@@ -163,6 +197,11 @@ func (r *RingReceiver) GetBatch(buf []*window.Window, max int) ([]*window.Window
 				buf = append(buf, r.popReady())
 			}
 		}
+		if r.parked.Load() > 0 {
+			// Every pop above moved taken before this load, so a producer
+			// that registered and then read the old taken is seen here.
+			r.room.Wake()
+		}
 		if len(buf) > 0 {
 			// busy stays true: it hands the in-flight batch over to the
 			// director's firing bookkeeping and clears only at the next park.
@@ -171,6 +210,9 @@ func (r *RingReceiver) GetBatch(buf []*window.Window, max int) ([]*window.Window
 		if r.closed.Load() {
 			r.busy.Store(false)
 			return buf, false
+		}
+		if testHookConsumerPark != nil {
+			testHookConsumerPark()
 		}
 		seen := r.wake.Gen()
 		// Re-check after snapshotting the generation. A producer counts its
@@ -186,9 +228,14 @@ func (r *RingReceiver) GetBatch(buf []*window.Window, max int) ([]*window.Window
 	}
 }
 
-// Get blocks until one window is available (multi-input pullers).
+// Get blocks until one window is available (multi-input pullers). The
+// puller is inside a firing, which the director already counts, so busy
+// is not left latched: a port that is only ever pulled would otherwise
+// read as pending forever after its last pull, and the run would never
+// quiesce.
 func (r *RingReceiver) Get() (*window.Window, bool) {
 	ws, ok := r.GetBatch(r.one[:0], 1)
+	r.busy.Store(false)
 	r.one = ws[:0]
 	if len(ws) > 0 {
 		return ws[0], true
@@ -274,3 +321,99 @@ func (r *RingReceiver) Depth() int {
 // NextDeadline reports the earliest pending window-formation deadline, as
 // last published by the consumer.
 func (r *RingReceiver) NextDeadline() (time.Time, bool) { return r.in.NextDeadline() }
+
+// outEdge is one producer's view of one out-edge. est is a running estimate
+// of the edge's raw backlog — the last read plus everything the producer
+// emitted since — so the producer reads the consumer's counters only when
+// the estimate reaches backlogMark.
+type outEdge struct {
+	r   *RingReceiver
+	est int64
+	// stalledAt is the consumer's taken count when a wait on this edge last
+	// stalled (-1: never). Until the consumer moves past it the edge admits
+	// without waiting: as in Parks' bounded scheduling, a buffer grows only
+	// on an artificial deadlock.
+	stalledAt int64
+
+	// timer wakes a wait after stallBound; expired is set once it has
+	// fired.
+	timer   *time.Timer
+	expired atomic.Bool
+}
+
+// wait holds the producer while the edge's raw backlog is at or above
+// backlogMark and its consumer keeps taking. If the consumer takes nothing
+// for stallBound the wait stalls: the producer fires anyway, and the sticky
+// overflow absorbs what the ring cannot.
+//
+// Lost-wakeup freedom mirrors the consumer's: the producer registers in
+// parked for the whole wait, and snapshots room's generation before each
+// re-read of the backlog; the consumer moves taken (a sequentially
+// consistent add in Pop) before it loads parked. If a re-read misses a pop,
+// the consumer's load sees the registration and its Wake moves the
+// generation past the snapshot.
+func (e *outEdge) wait() {
+	r := e.r
+	raw, taken := r.in.Backlog()
+	if raw < backlogMark || taken == e.stalledAt {
+		e.est = raw
+		return
+	}
+	if testHookProducerPark != nil {
+		testHookProducerPark()
+	}
+	r.parked.Add(1)
+	armed := false
+	var since int64
+	for {
+		seen := r.room.Gen()
+		if raw, taken = r.in.Backlog(); raw < backlogMark {
+			break
+		}
+		if !armed {
+			e.arm()
+			armed, since = true, taken
+		} else if e.expired.Load() {
+			if taken == since {
+				e.stalledAt = taken
+				break
+			}
+			e.arm()
+			since = taken
+		}
+		r.room.Wait(seen, 0)
+	}
+	r.parked.Add(-1)
+	if armed {
+		e.disarm()
+	}
+	e.est = raw
+}
+
+// arm starts the stall timer for one stallBound.
+func (e *outEdge) arm() {
+	e.expired.Store(false)
+	if e.timer == nil {
+		e.timer = time.AfterFunc(stallBound, e.expire)
+		return
+	}
+	e.timer.Reset(stallBound)
+}
+
+// disarm stops the stall timer. A timer that already fired is waited out
+// until its expiry has landed, so it cannot land after the next arm (its
+// Wake may still follow, which is only a spurious wake-up).
+func (e *outEdge) disarm() {
+	if !e.timer.Stop() {
+		for !e.expired.Load() {
+			runtime.Gosched()
+		}
+	}
+}
+
+// expire is the stall timer's callback. It publishes the expiry before it
+// wakes the wait, so the woken producer reads it.
+func (e *outEdge) expire() {
+	e.expired.Store(true)
+	e.r.room.Wake()
+}

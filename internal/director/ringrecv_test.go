@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -238,13 +239,26 @@ func TestRingReceiverConcurrentDelivery(t *testing.T) {
 }
 
 // TestRingReceiverWakesParkedConsumer is the receiver-level park/unpark
-// liveness check: a consumer parked on an empty ring must wake promptly on
-// every Put — across many rounds, so a single lost wakeup deadlocks the
-// test rather than slipping through.
+// liveness check. Odd rounds push from the consumer's park seam, after its
+// dry look and before its generation snapshot: the one interleaving in
+// which a consumer that skipped its re-check would wait for a wake that
+// already happened. Even rounds push from outside, some after the consumer
+// has had time to park. Every round must deliver within 2 s.
 func TestRingReceiverWakesParkedConsumer(t *testing.T) {
-	clk := clock.NewReal()
-	r := NewRingReceiver(window.Passthrough(), clk, nil, false, 0)
+	const rounds = 200
+	r := NewRingReceiver(window.Passthrough(), clock.NewReal(), nil, true, 0)
 	tk := event.NewTimekeeper()
+	evs := make([]*event.Event, rounds)
+	for i := range evs {
+		evs[i] = tk.External(value.Int(int64(i)), time.Unix(60, 0))
+	}
+	var late atomic.Int64 // the round the seam pushes next, -1 for none
+	late.Store(-1)
+	setParkHook(t, &testHookConsumerPark, func() {
+		if i := late.Swap(-1); i >= 0 {
+			r.Put(evs[i])
+		}
+	})
 	got := make(chan *window.Window)
 	go func() {
 		for {
@@ -256,24 +270,99 @@ func TestRingReceiverWakesParkedConsumer(t *testing.T) {
 			got <- w
 		}
 	}()
-	for round := 0; round < 200; round++ {
-		// Give the consumer time to spin out and park on some rounds.
-		if round%10 == 0 {
-			time.Sleep(2 * time.Millisecond)
+	for round := 0; round < rounds; round++ {
+		if round%2 == 0 {
+			if round%10 == 0 {
+				time.Sleep(2 * time.Millisecond) // let the consumer park
+			}
+			r.Put(evs[round])
+			// The next round is the seam's. Set before this round's window
+			// is taken, so the consumer's next dry look finds it.
+			late.Store(int64(round + 1))
 		}
-		r.Put(tk.External(value.Int(int64(round)), time.Unix(60, 0)))
 		select {
 		case w := <-got:
-			if w.Len() != 1 {
-				t.Fatalf("round %d: got %d-event window, want 1", round, w.Len())
+			if w.Len() != 1 || w.Events[0] != evs[round] {
+				t.Fatalf("round %d: got %d-event window %v, want event %d", round, w.Len(), w.Events, round)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("round %d: parked consumer never woke (lost wakeup)", round)
+		case <-time.After(2 * time.Second):
+			t.Fatalf("round %d: consumer never woke (lost wakeup); goroutines:\n%s", round, stacks())
 		}
 	}
 	r.Close()
 	if _, open := <-got; open {
 		t.Fatal("consumer did not observe close")
+	}
+}
+
+// fillEdge puts n events on r.
+func fillEdge(r *RingReceiver, n int) {
+	tk := event.NewTimekeeper()
+	for i := 0; i < n; i++ {
+		r.Put(tk.External(value.Int(int64(i)), time.Unix(60, 0)))
+	}
+}
+
+// TestProducerWaitWokenByConsumerPop mirrors the consumer's check for
+// back-pressure: the consumer takes a batch from the producer's park seam,
+// after the producer found the backlog at backlogMark and before it
+// registered. A producer that skipped its re-check would sleep until its
+// stall timer; it must instead return without arming it.
+func TestProducerWaitWokenByConsumerPop(t *testing.T) {
+	r := NewRingReceiver(window.Passthrough(), clock.NewReal(), nil, false, 0)
+	fillEdge(r, backlogMark)
+	setParkHook(t, &testHookProducerPark, func() {
+		ws, _ := r.GetBatch(nil, fireBatchMax)
+		r.Recycle(ws)
+	})
+	e := &outEdge{r: r, est: backlogMark, stalledAt: -1}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.wait()
+	}()
+	awaitDone(t, done, 2*time.Second, "producer wait")
+	if e.timer != nil {
+		t.Fatal("producer armed its stall timer after the consumer's pop (lost wakeup)")
+	}
+	if e.stalledAt != -1 || e.est != backlogMark-fireBatchMax {
+		t.Fatalf("after wait: stalledAt=%d est=%d, want -1 and %d", e.stalledAt, e.est, backlogMark-fireBatchMax)
+	}
+}
+
+// TestProducerWaitStallEscape: a consumer that takes nothing releases its
+// producer after stallBound; the edge then admits without waiting until the
+// consumer takes again, and the next wait after that waits again.
+func TestProducerWaitStallEscape(t *testing.T) {
+	r := NewRingReceiver(window.Passthrough(), clock.NewReal(), nil, false, 0)
+	fillEdge(r, backlogMark)
+	e := &outEdge{r: r, est: backlogMark, stalledAt: -1}
+	for pass := 0; pass < 2; pass++ {
+		start := time.Now()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			e.wait()
+		}()
+		awaitDone(t, done, 2*time.Second, "stalled producer wait")
+		if el := time.Since(start); el < stallBound {
+			t.Fatalf("pass %d: wait returned after %v with no consumer, want >= %v", pass, el, stallBound)
+		}
+		_, taken := r.in.Backlog()
+		if e.stalledAt != taken {
+			t.Fatalf("pass %d: stalledAt=%d, want the consumer's taken %d", pass, e.stalledAt, taken)
+		}
+		// Stalled: the next wait admits at once, without arming the timer.
+		e.expired.Store(false)
+		e.wait()
+		if e.expired.Load() {
+			t.Fatalf("pass %d: a stalled edge armed its timer again", pass)
+		}
+		// The consumer takes one event (and the producer refills it): the
+		// stall is over, so the next pass waits out stallBound again.
+		ws, _ := r.GetBatch(nil, 1)
+		r.Recycle(ws)
+		fillEdge(r, 1)
 	}
 }
 

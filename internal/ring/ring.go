@@ -17,8 +17,7 @@
 //
 // Both are bounded and never block: TryPush reports a full ring and TryPop
 // an empty one, and callers decide the overflow policy (receivers spill to a
-// mutex-guarded overflow list so producers never park inside the engine —
-// see window.Inbox).
+// mutex-guarded overflow list so a push never waits — see window.Inbox).
 //
 // Memory ordering relies on Go's sync/atomic operations being sequentially
 // consistent: a slot write happens-before the cursor/sequence store that

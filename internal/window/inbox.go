@@ -1,6 +1,7 @@
 package window
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,22 +21,29 @@ const ShellCap = 256
 
 // Inbox is the ingestion core shared by every receiver that sits on a
 // workflow edge: the paper's Windowed Receiver without the notification.
-// Producers deliver through a bounded lock-free ring and never park; one
-// consumer at a time pops raw events or feeds them through the window
-// operator it owns. What differs between receivers — waking a parked actor
-// thread (director.RingReceiver) or electing a drainer and enqueueing at
-// the scheduler (stafilos.TMReceiver) — is the hand-off built on top, and
-// it is the hand-off that guarantees the single consumer.
+// Producers deliver through a bounded lock-free ring and never block inside
+// it; one consumer at a time pops raw events or feeds them through the
+// window operator it owns. What differs between receivers — waking a parked
+// actor thread (director.RingReceiver) or electing a drainer and enqueueing
+// at the scheduler (stafilos.TMReceiver) — is the hand-off built on top,
+// and it is the hand-off that guarantees the single consumer.
 //
 // Overflow protocol: cyclic workflows would deadlock if an upstream firing
 // could block on a full downstream ring while that ring's consumer waits
-// on the cycle. A producer that finds the ring full sets ofActive and
-// appends to the mutex-guarded overflow list; the flag is sticky, so it
-// keeps overflowing until the consumer has drained the ring dry, swapped
-// the list out and cleared the flag. The consumer serves the swapped-out
-// list (pend) before touching the ring again, so each producer's stream
-// stays FIFO: its ring-era events precede its overflow-era events, and it
-// returns to the ring only after its overflow backlog has been taken.
+// on the cycle, so a push never waits. (Back-pressure is the caller's: a
+// PNCWF producer waits before firing while Backlog is high and its
+// consumer progresses, and the overflow list is its artificial-deadlock
+// escape.) A producer that finds the ring full sets ofActive and appends
+// to the mutex-guarded overflow list; the flag is sticky, so it keeps
+// overflowing until the consumer has found the ring dry, swapped the list
+// out and cleared the flag. A producer that read the flag clear just before
+// it was set may still be pushing to the ring, and its ring event is older
+// than its overflow events. So the swap, under the lock and before the flag
+// clears, counts the ring slots claimed so far (ringFirst), and the
+// consumer serves those before the swapped-out list (pend), and pend before
+// the ring again. Each producer's stream stays FIFO: its ring-era events
+// precede its overflow-era events, and it returns to the ring only after
+// its overflow backlog has been taken.
 //
 // Counting protocol: a producer counts an event in arrivals only after the
 // push made it visible, and notifies its consumer only after counting. So
@@ -56,11 +64,13 @@ type Inbox struct {
 	ofActive atomic.Bool
 	overflow []*event.Event
 
-	// Consumer-owned: the window operator (nil for passthrough specs) and
-	// the swapped-out overflow being served.
-	op       *Operator
-	pend     []*event.Event
-	pendHead int
+	// Consumer-owned: the window operator (nil for passthrough specs), the
+	// ring slots claimed before the last overflow swap and not yet served,
+	// and the swapped-out overflow being served after them.
+	op        *Operator
+	ringFirst int
+	pend      []*event.Event
+	pendHead  int
 
 	// shells is the operator's window free list (MPMC: the consumer pops
 	// when it builds a window, whoever fired the window pushes it back at
@@ -131,55 +141,62 @@ func (in *Inbox) putSlow(ev *event.Event) {
 	in.ofMu.Unlock()
 }
 
-// Pop returns the oldest raw event: swapped-out overflow first (older than
-// anything now in the ring, per the overflow protocol), then the ring, then
-// a fresh overflow swap. Consumer only.
+// Pop returns the oldest raw event: the ring slots claimed before the last
+// overflow swap, then the swapped-out overflow, then the ring, then a fresh
+// overflow swap (the order the overflow protocol needs). Consumer only.
 //
 //confvet:hotpath
 func (in *Inbox) Pop() (*event.Event, bool) {
-	if in.pendHead < len(in.pend) {
-		ev := in.pend[in.pendHead]
-		in.pend[in.pendHead] = nil
-		in.pendHead++
-		in.taken.Add(1)
-		return ev, true
+	for {
+		if in.ringFirst > 0 {
+			return in.popClaimed(), true
+		}
+		if in.pendHead < len(in.pend) {
+			ev := in.pend[in.pendHead]
+			in.pend[in.pendHead] = nil
+			in.pendHead++
+			in.taken.Add(1)
+			return ev, true
+		}
+		if ev, ok := in.q.TryPop(); ok {
+			in.taken.Add(1)
+			return ev, true
+		}
+		if !in.ofActive.Load() || !in.takeOverflow() {
+			return nil, false
+		}
 	}
-	if ev, ok := in.q.TryPop(); ok {
-		in.taken.Add(1)
-		return ev, true
-	}
-	if !in.ofActive.Load() {
-		return nil, false
-	}
-	// The dry pop above may predate the flag: a producer can refill the
-	// whole ring and then overflow between the two reads, and those ring
-	// events are older than its overflow. The flag is sticky, so every ring
-	// push of an overflowing producer is visible by now; only when this
-	// second pop is dry too does the overflow hold the oldest event.
-	if ev, ok := in.q.TryPop(); ok {
-		in.taken.Add(1)
-		return ev, true
-	}
-	return in.takeOverflow()
 }
 
-// takeOverflow swaps the overflow list out and serves its first event. The
-// previous pend backing array becomes the next overflow, so the two
-// buffers ping-pong without allocation at steady state.
-func (in *Inbox) takeOverflow() (*event.Event, bool) {
+// popClaimed serves one of the ring slots takeOverflow counted. An MPMC
+// slot can be claimed but still mid-store, which TryPop reports as empty;
+// its producer finishes the store without waiting on anything, so the
+// consumer yields until it has.
+func (in *Inbox) popClaimed() *event.Event {
+	for {
+		if ev, ok := in.q.TryPop(); ok {
+			in.ringFirst--
+			in.taken.Add(1)
+			return ev
+		}
+		runtime.Gosched()
+	}
+}
+
+// takeOverflow swaps the overflow list out and reports whether the swap left
+// anything to serve. The ring length is read while the flag is still set: a
+// slot claimed by then belongs to a producer that read the flag clear before
+// it was set, so that event is older than its producer's overflow. The
+// previous pend backing array becomes the next overflow, so the two buffers
+// ping-pong without allocation at steady state.
+func (in *Inbox) takeOverflow() bool {
 	in.ofMu.Lock()
 	in.pend, in.overflow = in.overflow, in.pend[:0]
+	in.ringFirst = in.q.Len()
 	in.ofActive.Store(false)
 	in.ofMu.Unlock()
 	in.pendHead = 0
-	if len(in.pend) == 0 {
-		return nil, false
-	}
-	ev := in.pend[0]
-	in.pend[0] = nil
-	in.pendHead = 1
-	in.taken.Add(1)
-	return ev, true
+	return in.ringFirst > 0 || len(in.pend) > 0
 }
 
 // Ingest feeds up to max raw events through the window operator at clock
@@ -232,13 +249,22 @@ func (in *Inbox) HasRaw() bool {
 	return in.arrivals.Load() > in.taken.Load()
 }
 
+// Backlog reports the raw backlog — events counted in and not yet popped,
+// 0 while taken runs ahead — and the taken count it was computed from.
+// Events buffered in open windows are not part of it: they may never drain.
+func (in *Inbox) Backlog() (raw, taken int64) {
+	taken = in.taken.Load()
+	raw = in.arrivals.Load() - taken
+	if raw < 0 {
+		raw = 0
+	}
+	return raw, taken
+}
+
 // Depth reports the raw backlog plus the events buffered in open windows.
 func (in *Inbox) Depth() int {
-	n := in.arrivals.Load() - in.taken.Load()
-	if n < 0 {
-		n = 0
-	}
-	return int(n + in.opPending.Load())
+	raw, _ := in.Backlog()
+	return int(raw + in.opPending.Load())
 }
 
 // NextDeadline reports the earliest pending window-formation deadline, as

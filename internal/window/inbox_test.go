@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/event"
+	"repro/internal/ring"
 	"repro/internal/value"
 )
 
@@ -86,6 +88,81 @@ func TestInboxRefilledRingPrecedesOverflow(t *testing.T) {
 	}
 	if in.HasRaw() || in.Depth() != 0 {
 		t.Fatalf("after drain: HasRaw=%v Depth=%d, want idle", in.HasRaw(), in.Depth())
+	}
+}
+
+// gateQueue wraps a real ring with two seams: hold runs inside the next
+// TryPush, after its caller read the overflow flag and before the push
+// itself, and onDry runs once after a dry TryPop, before it reports empty.
+type gateQueue struct {
+	ring.Queue[*event.Event]
+	hold  atomic.Pointer[func()]
+	onDry func()
+}
+
+func (q *gateQueue) TryPush(ev *event.Event) bool {
+	if f := q.hold.Swap(nil); f != nil {
+		(*f)()
+	}
+	return q.Queue.TryPush(ev)
+}
+
+func (q *gateQueue) TryPop() (*event.Event, bool) {
+	ev, ok := q.Queue.TryPop()
+	if f := q.onDry; !ok && f != nil {
+		q.onDry = nil
+		f()
+	}
+	return ev, ok
+}
+
+// TestInboxLatePusherPrecedesOverflow plays the multi-producer reorder the
+// race detector's slowdown used to expose one run in five: producer R reads
+// the overflow flag clear and stalls before its ring push; producer Q fills
+// the ring and overflows; the consumer drains the ring and finds it dry;
+// only then does R's push land, and R's next event, seeing Q's flag,
+// overflows. R's ring event is the older of its two and must come first.
+func TestInboxLatePusherPrecedesOverflow(t *testing.T) {
+	const capacity = 4
+	var in Inbox
+	in.Init(Passthrough(), true, capacity)
+	q := &gateQueue{Queue: in.q}
+	in.q = q
+	tkR, tkQ := event.NewTimekeeper(), event.NewTimekeeper()
+
+	held, release, rDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	hold := func() {
+		close(held)
+		<-release
+	}
+	q.hold.Store(&hold)
+	go func() {
+		defer close(rDone)
+		in.Push(seqEvent(tkR, 1, 0)) // held between its flag load and its push
+		in.Push(seqEvent(tkR, 1, 1))
+	}()
+	<-held
+	for i := 0; i <= capacity; i++ { // Q: a full ring, then one overflow
+		in.Push(seqEvent(tkQ, 0, i))
+	}
+	q.onDry = func() {
+		close(release)
+		<-rDone
+	}
+	next := []int{0, 0}
+	for n := 0; n < capacity+3; n++ {
+		ev, ok := in.Pop()
+		if !ok {
+			t.Fatalf("Pop %d: empty, want an event", n)
+		}
+		p, i := producerAndIndex(ev)
+		if i != next[p] {
+			t.Fatalf("producer %d: got event %d, want %d (overflow served before a late ring push)", p, i, next[p])
+		}
+		next[p]++
+	}
+	if ev, ok := in.Pop(); ok {
+		t.Fatalf("Pop after drain: got %v, want empty", ev.Token)
 	}
 }
 
