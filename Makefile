@@ -58,17 +58,19 @@ bench-build:
 
 # bench-gate enforces the hot-path acceptance criteria (see DESIGN.md,
 # section "Zero-alloc hot path"): the steady-state firing loop, SCWF
-# passthrough delivery, the binary value codec and the bridge's per-event
-# encode must allocate nothing, a back-pressured PNCWF pipeline draining
-# 200k events and a pipeline on the sequential SCWF director at most 0.05
-# objects per event, keyed records through group-by sliding and timed
-# windows on it at most 2, NewRecord exactly one (its value slice), an
-# indexed relstore Lookup at most its result, and the lock-free ring
-# invariants must hold at 1, 2 and 8 schedulable cores. Every leg is exact:
-# allocations are counted over a whole run, not averaged per operation; no
-# wall-clock figure, no retry.
+# passthrough delivery, the binary value codec, the bridge's per-event
+# encode, DDF and SDF composite firings and an indexed relstore Lookup into
+# a buffer with room (hit or miss) must allocate nothing, a back-pressured
+# PNCWF pipeline draining 200k events and a pipeline on the sequential SCWF
+# director at most 0.05 objects per event, keyed records through group-by
+# sliding and timed windows on it at most 2, NewRecord exactly one (its
+# value slice), a short virtual-time Linear Road at most its stated
+# allocations per report, and the lock-free ring invariants must hold at
+# 1, 2 and 8 schedulable cores. Every leg is exact: allocations are counted
+# over a whole run, not averaged per operation; no wall-clock figure, no
+# retry.
 bench-gate:
-	$(GO) test ./internal/director/ -run 'TestFiringLoopZeroAlloc|TestPNCWFPipeDrainAllocs' -v -count 1
+	$(GO) test ./internal/director/ -run 'TestFiringLoopZeroAlloc|TestPNCWFPipeDrainAllocs|TestCompositeFireAllocs' -v -count 1
 	$(GO) test ./internal/director/ -run 'TestRingReceiver|TestWaiter' -count 1
 	GOMAXPROCS=1 $(GO) test ./internal/ring/ -count 1
 	GOMAXPROCS=2 $(GO) test ./internal/ring/ -count 1
@@ -77,3 +79,4 @@ bench-gate:
 	$(GO) test ./internal/dist/ -run TestAppendEventZeroAlloc -v -count 1
 	$(GO) test ./internal/value/ -run 'TestNewRecordAllocs|TestAppendBinaryZeroAlloc' -v -count 1
 	$(GO) test ./internal/relstore/ -run TestIndexedLookupAllocs -v -count 1
+	$(GO) test ./internal/lr/ -run TestLinearRoadAllocsPerReport -v -count 1

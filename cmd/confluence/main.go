@@ -343,8 +343,8 @@ func demo(args []string) error {
 		Unit: confluence.Tuples, Size: 4, Step: 4, GroupBy: []string{"sensor"},
 	}, func(w *confluence.Window) confluence.Value {
 		sum := 0.0
-		for _, r := range w.Records() {
-			sum += r.Float("reading")
+		for i := range w.Len() {
+			sum += w.Record(i).Float("reading")
 		}
 		return confluence.Float(sum / float64(w.Len()))
 	})

@@ -52,12 +52,12 @@ func main() {
 		GroupBy: []string{"object"},
 		Timeout: 5 * time.Second,
 	}, func(_ *confluence.FireContext, w *confluence.Window, emit func(confluence.Value)) error {
-		recs := w.Records()
-		if len(recs) < 8 {
+		n := w.Len()
+		if n < 8 {
 			return nil
 		}
-		med := median(recs)
-		newest := recs[len(recs)-1]
+		med := median(w)
+		newest := w.Record(n - 1)
 		if med-newest.Float("mag") > 1.0 { // smaller magnitude = brighter
 			emit(confluence.NewRecord(
 				"object", newest.Field("object"),
@@ -109,10 +109,10 @@ func main() {
 }
 
 // median returns the median magnitude of a window's records.
-func median(recs []confluence.Record) float64 {
-	mags := make([]float64, len(recs))
-	for i, r := range recs {
-		mags[i] = r.Float("mag")
+func median(w *confluence.Window) float64 {
+	mags := make([]float64, w.Len())
+	for i := range mags {
+		mags[i] = w.Record(i).Float("mag")
 	}
 	// insertion sort: windows are small
 	for i := 1; i < len(mags); i++ {

@@ -50,15 +50,15 @@ func main() {
 	segSpeed := confluence.NewAggregate("SegmentSpeed", confluence.WindowSpec{
 		Unit: confluence.Tuples, Size: 10, Step: 10, GroupBy: []string{"seg"},
 	}, func(w *confluence.Window) confluence.Value {
-		recs := w.Records()
+		n := w.Len()
 		sum := 0.0
-		for _, r := range recs {
-			sum += r.Float("speed")
+		for i := range n {
+			sum += w.Record(i).Float("speed")
 		}
 		return confluence.NewRecord(
-			"seg", recs[0].Field("seg"),
-			"avgSpeed", confluence.Float(sum/float64(len(recs))),
-			"time", recs[len(recs)-1].Field("time"),
+			"seg", w.Record(0).Field("seg"),
+			"avgSpeed", confluence.Float(sum/float64(n)),
+			"time", w.Record(n-1).Field("time"),
 		)
 	})
 	congested := confluence.NewFilter("CongestionFilter", func(v confluence.Value) bool {

@@ -31,11 +31,11 @@ func main() {
 		Unit: confluence.Tuples, Size: 5, Step: 5, GroupBy: []string{"city"},
 	}, func(w *confluence.Window) confluence.Value {
 		sum := 0.0
-		for _, r := range w.Records() {
-			sum += r.Float("tempF")
+		for i := range w.Len() {
+			sum += w.Record(i).Float("tempF")
 		}
 		return confluence.NewRecord(
-			"city", w.Records()[0].Field("city"),
+			"city", w.Record(0).Field("city"),
 			"avgF", confluence.Float(sum/float64(w.Len())),
 		)
 	})

@@ -38,10 +38,10 @@ func main() {
 		GroupBy: []string{"sensor"},
 	}, func(w *confluence.Window) confluence.Value {
 		sum := 0.0
-		for _, r := range w.Records() {
-			sum += r.Float("temp")
+		for i := range w.Len() {
+			sum += w.Record(i).Float("temp")
 		}
-		first := w.Records()[0]
+		first := w.Record(0)
 		return confluence.NewRecord(
 			"sensor", first.Field("sensor"),
 			"avgTemp", confluence.Float(sum/float64(w.Len())),

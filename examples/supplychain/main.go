@@ -73,7 +73,8 @@ func main() {
 	// Draw down inventory per order; emit the level for monitoring.
 	drawdown := confluence.NewFunc("drawdown", confluence.Passthrough(),
 		func(_ *confluence.FireContext, w *confluence.Window, emit func(confluence.Value)) error {
-			for _, r := range w.Records() {
+			for i := range w.Len() {
+				r := w.Record(i)
 				level := inv.add(int(r.Int("product")), -int(r.Int("qty")))
 				emit(r.With("level", confluence.Int(level)))
 			}
@@ -83,7 +84,8 @@ func main() {
 	// Restock from shipments.
 	restock := confluence.NewFunc("restock", confluence.Passthrough(),
 		func(_ *confluence.FireContext, w *confluence.Window, emit func(confluence.Value)) error {
-			for _, r := range w.Records() {
+			for i := range w.Len() {
+				r := w.Record(i)
 				level := inv.add(int(r.Int("product")), int(r.Int("qty")))
 				emit(r.With("level", confluence.Int(level)))
 			}
@@ -97,14 +99,14 @@ func main() {
 		Unit: confluence.Tuples, Size: 3, Step: 3, GroupBy: []string{"product"},
 	}, func(_ *confluence.FireContext, w *confluence.Window) error {
 		low := true
-		for _, r := range w.Records() {
-			if r.Int("level") >= 15 {
+		for i := range w.Len() {
+			if w.Record(i).Int("level") >= 15 {
 				low = false
 			}
 		}
 		if low {
-			p := w.Records()[0].Int("product")
-			lvl := w.Records()[w.Len()-1].Int("level")
+			p := w.Record(0).Int("product")
+			lvl := w.Record(w.Len() - 1).Int("level")
 			alerts = append(alerts, fmt.Sprintf("product %d low (level %d): reorder", p, lvl))
 		}
 		return nil
@@ -114,7 +116,8 @@ func main() {
 	var delayed []int64
 	lateWatch := confluence.NewSink("lateWatch", confluence.Passthrough(),
 		func(_ *confluence.FireContext, w *confluence.Window) error {
-			for _, r := range w.Records() {
+			for i := range w.Len() {
+				r := w.Record(i)
 				if r.Int("transitHours") > 96 {
 					delayed = append(delayed, r.Int("shipID"))
 				}

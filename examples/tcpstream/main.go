@@ -32,14 +32,13 @@ func main() {
 	jumps := confluence.NewFunc("jumps", confluence.WindowSpec{
 		Unit: confluence.Tuples, Size: 2, Step: 1, GroupBy: []string{"sym"},
 	}, func(_ *confluence.FireContext, w *confluence.Window, emit func(confluence.Value)) error {
-		recs := w.Records()
-		if len(recs) < 2 {
+		if w.Len() < 2 {
 			return nil
 		}
-		prev, cur := recs[0].Float("px"), recs[1].Float("px")
+		prev, cur := w.Record(0).Float("px"), w.Record(1).Float("px")
 		if prev > 0 && (cur-prev)/prev > 0.02 {
 			emit(confluence.NewRecord(
-				"sym", recs[1].Field("sym"),
+				"sym", w.Record(1).Field("sym"),
 				"from", confluence.Float(prev),
 				"to", confluence.Float(cur),
 			))
@@ -51,8 +50,8 @@ func main() {
 	done := make(chan struct{})
 	sink := confluence.NewSink("alerts", confluence.Passthrough(),
 		func(ctx *confluence.FireContext, w *confluence.Window) error {
-			for _, r := range w.Records() {
-				alerts = append(alerts, r)
+			for i := range w.Len() {
+				alerts = append(alerts, w.Record(i))
 			}
 			if len(alerts) >= 5 {
 				ctx.StopWorkflow()

@@ -79,7 +79,8 @@ func (a *Join) Fire(ctx *model.FireContext) error {
 
 func (a *Join) consume(ctx *model.FireContext, w *window.Window,
 	own, other map[string][]value.Record, retain int, ownIsLeft bool) {
-	for _, rec := range w.Records() {
+	for i := range w.Len() {
+		rec := w.Record(i)
 		k := rec.Key(a.on...)
 		// Probe the opposite side first, then insert.
 		for _, match := range other[k] {

@@ -138,12 +138,35 @@ var mutants = []mutant{
 		after:    "var calls64 int\n\nfunc AppendBinary(buf []byte, v Value) []byte {\n\tif calls64++; calls64%64 == 0 {\n\t\tbuf = append(make([]byte, 0, cap(buf)), buf...)\n\t}\n",
 		caughtBy: "internal/value:TestAppendBinaryZeroAlloc",
 	},
+	// per-firing copies on Linear Road's data path: the composite builds its
+	// emit hook as a closure on every Fire, the inner ready queue re-slices
+	// its head away (so every inject eventually reallocates), and an indexed
+	// Lookup makes a fresh result instead of appending to the caller's
+	// buffer.
+	{
+		name: "composite_hook_closure", file: "internal/director/composite.go",
+		before:   "\terr := c.dir.RunToQuiescence(c.hook)\n",
+		after:    "\terr := c.dir.RunToQuiescence(func(em model.Emission) bool { return c.forward(em) })\n",
+		caughtBy: "internal/director:TestCompositeFireAllocs",
+	},
+	{
+		name: "ready_queue_reslice", file: "internal/director/inside.go",
+		before:   "\tw := f.q[f.head]\n\tf.q[f.head] = nil\n\tf.head++\n",
+		after:    "\tw := f.q[f.head]\n\tf.q = f.q[1:]\n\treturn w\n",
+		caughtBy: "internal/director:TestCompositeFireAllocs",
+	},
+	{
+		name: "lookup_fresh_result", file: "internal/relstore/relstore.go",
+		before:   "\t\tfor _, pos := range ix.positions(key) {\n",
+		after:    "\t\tdst = append(make([]Row, 0, len(dst)+1), dst...)\n\t\tfor _, pos := range ix.positions(key) {\n",
+		caughtBy: "internal/relstore:TestIndexedLookupAllocs",
+	},
 	// time.Now in a //confvet:hotpath function instead of the receiver's
 	// clock.
 	{
 		name: "hot_time_now", file: "internal/director/ringrecv.go",
-		before:   "\tnow := r.clk.Now()\n\tr.ready, _ = r.in.Ingest(",
-		after:    "\tnow := time.Now()\n\tr.ready, _ = r.in.Ingest(",
+		before:   "\tnow := r.clk.Now()\n\tr.ready.q, _ = r.in.Ingest(",
+		after:    "\tnow := time.Now()\n\tr.ready.q, _ = r.in.Ingest(",
 		analyzer: "hotpath",
 	},
 	// time.Sleep outside internal/clock: the source nap rounds up to the 1 ms

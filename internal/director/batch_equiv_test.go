@@ -224,7 +224,7 @@ func TestBlockingReceiverReleasesConsumedWindows(t *testing.T) {
 	r.PutBatch(evs)
 
 	r.mu.Lock()
-	queued := len(r.ready)
+	queued := r.ready.len()
 	r.mu.Unlock()
 	if queued != 100 {
 		t.Fatalf("queued %d windows, want 100", queued)
@@ -234,8 +234,8 @@ func TestBlockingReceiverReleasesConsumedWindows(t *testing.T) {
 			t.Fatal("receiver drained early")
 		}
 		r.mu.Lock()
-		for j := 0; j < r.head; j++ {
-			if r.ready[j] != nil {
+		for j := 0; j < r.ready.head; j++ {
+			if r.ready.q[j] != nil {
 				t.Fatalf("consumed slot %d still references its window", j)
 			}
 		}
@@ -248,15 +248,15 @@ func TestBlockingReceiverReleasesConsumedWindows(t *testing.T) {
 			t.Fatal("receiver drained early")
 		}
 		r.mu.Lock()
-		if r.head >= 32 && r.head*2 > len(r.ready) {
-			t.Errorf("queue never compacted: dead prefix %d of %d", r.head, len(r.ready))
+		if q := &r.ready; q.head >= 32 && q.head*2 > len(q.q) {
+			t.Errorf("queue never compacted: dead prefix %d of %d", q.head, len(q.q))
 		}
 		r.mu.Unlock()
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.ready) != 0 || r.head != 0 {
-		t.Errorf("drained queue not reset: len=%d head=%d", len(r.ready), r.head)
+	if len(r.ready.q) != 0 || r.ready.head != 0 {
+		t.Errorf("drained queue not reset: len=%d head=%d", len(r.ready.q), r.ready.head)
 	}
 }
 

@@ -37,8 +37,8 @@ func BenchmarkReceiverPut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Put(evs[i%len(evs)])
-		if len(r.ready) >= 4096 {
-			r.ready = r.ready[:0]
+		if len(r.ready.q) >= 4096 {
+			r.ready.q = r.ready.q[:0]
 		}
 	}
 }
@@ -52,8 +52,7 @@ func BenchmarkReceiverPutBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.PutBatch(evs)
-		r.ready = r.ready[:0]
-		r.head = 0
+		r.ready.q = r.ready.q[:0]
 	}
 	b.ReportMetric(64, "events/op")
 }

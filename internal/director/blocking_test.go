@@ -24,11 +24,8 @@ type BlockingReceiver struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	op   *window.Operator
-	// ready[head:] are the produced-but-unconsumed windows; consumed slots
-	// are nilled out so the backing array does not retain them, and the
-	// queue compacts when the dead prefix dominates.
-	ready  []*window.Window
-	head   int
+	// ready holds the produced-but-unconsumed windows.
+	ready  readyQueue
 	closed bool
 	clk    clock.Clock
 	// timer is the reusable deadline timer that nudges cond at
@@ -56,7 +53,7 @@ func (r *BlockingReceiver) Put(ev *event.Event) {
 	ws := r.op.Put(ev, r.clk.Now())
 	r.op.DrainExpired()
 	if len(ws) > 0 {
-		r.ready = append(r.ready, ws...)
+		r.ready.push(ws...)
 		r.cond.Broadcast()
 	} else if r.deadlineChangedLocked(oldDL, hadDL) {
 		r.cond.Broadcast()
@@ -80,7 +77,7 @@ func (r *BlockingReceiver) PutBatch(evs []*event.Event) {
 	produced := false
 	for _, ev := range evs {
 		if ws := r.op.Put(ev, now); len(ws) > 0 {
-			r.ready = append(r.ready, ws...)
+			r.ready.push(ws...)
 			produced = true
 		}
 	}
@@ -114,7 +111,7 @@ func (r *BlockingReceiver) Close() {
 func (r *BlockingReceiver) Pending() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.head < len(r.ready)
+	return r.ready.len() > 0
 }
 
 // Depth implements model.DepthReporter: produced-but-unconsumed windows
@@ -122,7 +119,7 @@ func (r *BlockingReceiver) Pending() bool {
 func (r *BlockingReceiver) Depth() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return (len(r.ready) - r.head) + r.op.Pending()
+	return r.ready.len() + r.op.Pending()
 }
 
 // HasDeadline reports whether a timed window could still be forced out.
@@ -147,13 +144,13 @@ func (r *BlockingReceiver) Get() (*window.Window, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		if r.head < len(r.ready) {
-			return r.popLocked(), true
+		if r.ready.len() > 0 {
+			return r.ready.pop(), true
 		}
 		now := r.clk.Now()
 		if dl, ok := r.op.NextDeadline(); ok && !dl.After(now) {
 			if ws := r.op.OnTime(now); len(ws) > 0 {
-				r.ready = append(r.ready, ws...)
+				r.ready.push(ws...)
 				r.op.DrainExpired()
 				continue
 			}
@@ -178,16 +175,16 @@ func (r *BlockingReceiver) GetBatch(buf []*window.Window, max int) ([]*window.Wi
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		if r.head < len(r.ready) {
-			for len(buf) < max && r.head < len(r.ready) {
-				buf = append(buf, r.popLocked())
+		if r.ready.len() > 0 {
+			for len(buf) < max && r.ready.len() > 0 {
+				buf = append(buf, r.ready.pop())
 			}
 			return buf, true
 		}
 		now := r.clk.Now()
 		if dl, ok := r.op.NextDeadline(); ok && !dl.After(now) {
 			if ws := r.op.OnTime(now); len(ws) > 0 {
-				r.ready = append(r.ready, ws...)
+				r.ready.push(ws...)
 				r.op.DrainExpired()
 				continue
 			}
@@ -197,28 +194,6 @@ func (r *BlockingReceiver) GetBatch(buf []*window.Window, max int) ([]*window.Wi
 		}
 		r.waitLocked()
 	}
-}
-
-// popLocked removes and returns the head window. The vacated slot is
-// nilled so the consumed window becomes collectable immediately, and the
-// queue is compacted once the dead prefix outweighs the live tail.
-func (r *BlockingReceiver) popLocked() *window.Window {
-	w := r.ready[r.head]
-	r.ready[r.head] = nil
-	r.head++
-	switch {
-	case r.head == len(r.ready):
-		r.ready = r.ready[:0]
-		r.head = 0
-	case r.head >= 32 && r.head*2 >= len(r.ready):
-		n := copy(r.ready, r.ready[r.head:])
-		for i := n; i < len(r.ready); i++ {
-			r.ready[i] = nil
-		}
-		r.ready = r.ready[:n]
-		r.head = 0
-	}
-	return w
 }
 
 // waitLocked blocks until signalled or until the next window deadline.

@@ -24,6 +24,12 @@ type Composite struct {
 
 	inBind  map[*model.Port][]*model.Port // external input -> inner inputs
 	outBind map[*model.Port]*model.Port   // inner output -> external output
+
+	// hook is c.forward, bound once so a firing builds no closure; fctx is
+	// the outer firing's context for the length of a Fire. An actor never
+	// fires concurrently with itself, so one field serves every firing.
+	hook EmitHook
+	fctx *model.FireContext
 }
 
 // NewComposite builds a composite actor around an inner workflow.
@@ -36,6 +42,7 @@ func NewComposite(name string, inner *model.Workflow, dir InsideDirector) *Compo
 	}
 	c.Base = model.NewBase(name)
 	c.Bind(c)
+	c.hook = c.forward
 	return c
 }
 
@@ -101,14 +108,21 @@ func (c *Composite) Fire(ctx *model.FireContext) error {
 			c.dir.Inject(ip, w)
 		}
 	}
-	return c.dir.RunToQuiescence(func(em model.Emission) bool {
-		ext, ok := c.outBind[em.Port]
-		if !ok {
-			return false
-		}
-		// Forward with the original event timestamp so response times
-		// trace back to the external event that started the wave.
-		ctx.PutAt(ext, em.Ev.Token, em.Ev.Time)
-		return true
-	})
+	c.fctx = ctx
+	err := c.dir.RunToQuiescence(c.hook)
+	c.fctx = nil
+	return err
+}
+
+// forward is the emit hook: it consumes an emission of a bound inner output
+// port by putting it on the external output of the firing in progress.
+func (c *Composite) forward(em model.Emission) bool {
+	ext, ok := c.outBind[em.Port]
+	if !ok {
+		return false
+	}
+	// Forward with the original event timestamp so response times trace
+	// back to the external event that started the wave.
+	c.fctx.PutAt(ext, em.Ev.Token, em.Ev.Time)
+	return true
 }

@@ -148,3 +148,53 @@ func TestPNCWFPipeDrainAllocs(t *testing.T) {
 		t.Errorf("draining %d events allocated %.0f objects, want at most %.0f", n, allocs, limit)
 	}
 }
+
+// TestCompositeFireAllocs is the composite path's allocation gate: n firings
+// of a DDF and of an SDF composite whose inner actor emits nothing — the
+// inject into the inner ready queue, the inside director's run to
+// quiescence and the emit hook — counted exactly inside one
+// AllocsPerRun(1, …), with the bound stated as a total of 0. The hook is
+// bound once per composite, not built per firing, and the ready queue
+// reuses its backing array.
+func TestCompositeFireAllocs(t *testing.T) {
+	for _, inside := range []InsideDirector{NewDDF(), NewSDF()} {
+		t.Run(inside.Name(), func(t *testing.T) {
+			inner := model.NewWorkflow("inner")
+			fired := 0
+			sink := actors.NewSink("sink", window.Passthrough(), func(_ *model.FireContext, _ *window.Window) error {
+				fired++
+				return nil
+			})
+			inner.MustAdd(sink)
+			c := NewComposite("comp", inner, inside)
+			in := c.AddInput("in", window.Passthrough(), sink.In())
+			ctx := model.NewFireContext(clock.NewVirtual(), event.NewTimekeeper())
+			if err := c.Initialize(ctx); err != nil {
+				t.Fatal(err)
+			}
+			ev := event.NewTimekeeper().External(value.Int(1), time.Unix(0, 0))
+			w := &window.Window{Events: []*event.Event{ev}}
+			fire := func() {
+				ctx.BeginFiring(ev)
+				ctx.Stage(in, w)
+				if err := c.Fire(ctx); err != nil {
+					t.Fatal(err)
+				}
+				ctx.EndFiring()
+			}
+			fire() // grows the staged-window and ready-queue backings
+			const n = 1000
+			allocs := testing.AllocsPerRun(1, func() {
+				for range n {
+					fire()
+				}
+			})
+			if fired != 2*n+1 { // AllocsPerRun warms up with one extra call
+				t.Fatalf("inner actor fired %d times, want %d", fired, 2*n+1)
+			}
+			if allocs != 0 {
+				t.Errorf("%d %s composite firings allocate %.0f objects in total, want 0", n, inside.Name(), allocs)
+			}
+		})
+	}
+}

@@ -15,7 +15,7 @@ import (
 type queueReceiver struct {
 	port  *model.Port
 	op    *window.Operator
-	ready []*window.Window
+	ready readyQueue
 	clk   clock.Clock
 }
 
@@ -27,7 +27,7 @@ func newQueueReceiver(p *model.Port, clk clock.Clock) *queueReceiver {
 func (r *queueReceiver) Put(ev *event.Event) {
 	ws := r.op.Put(ev, r.clk.Now())
 	r.op.DrainExpired()
-	r.ready = append(r.ready, ws...)
+	r.ready.push(ws...)
 }
 
 // PutBatch implements model.BatchReceiver: one window-operator sweep and
@@ -35,21 +35,51 @@ func (r *queueReceiver) Put(ev *event.Event) {
 func (r *queueReceiver) PutBatch(evs []*event.Event) {
 	now := r.clk.Now()
 	for _, ev := range evs {
-		r.ready = append(r.ready, r.op.Put(ev, now)...)
+		r.ready.push(r.op.Put(ev, now)...)
 	}
 	r.op.DrainExpired()
 }
 
 // inject delivers a pre-formed window (from the composite's external port).
-func (r *queueReceiver) inject(w *window.Window) { r.ready = append(r.ready, w) }
+func (r *queueReceiver) inject(w *window.Window) { r.ready.push(w) }
 
 func (r *queueReceiver) pop() (*window.Window, bool) {
-	if len(r.ready) == 0 {
+	if r.ready.len() == 0 {
 		return nil, false
 	}
-	w := r.ready[0]
-	r.ready = r.ready[1:]
-	return w, true
+	return r.ready.pop(), true
+}
+
+// readyQueue is a FIFO of produced windows awaiting their consumer, popped
+// through a head index. A pop nils the vacated slot so the consumed window
+// becomes collectable; the queue resets once it empties and compacts once
+// the dead prefix is at least 32 slots and half the queue, so its backing
+// array is reused instead of outgrown.
+type readyQueue struct {
+	q    []*window.Window
+	head int
+}
+
+func (f *readyQueue) len() int { return len(f.q) - f.head }
+
+func (f *readyQueue) push(ws ...*window.Window) { f.q = append(f.q, ws...) }
+
+// pop dequeues the oldest window; the queue must not be empty.
+func (f *readyQueue) pop() *window.Window {
+	w := f.q[f.head]
+	f.q[f.head] = nil
+	f.head++
+	switch {
+	case f.head == len(f.q):
+		f.q = f.q[:0]
+		f.head = 0
+	case f.head >= 32 && f.head*2 >= len(f.q):
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q = f.q[:n]
+		f.head = 0
+	}
+	return w
 }
 
 // EmitHook intercepts an inner actor's emission; returning true consumes it

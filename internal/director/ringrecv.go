@@ -73,13 +73,12 @@ type RingReceiver struct {
 	passthrough bool
 
 	// Consumer-owned state.
-	ready     []*window.Window // operator-produced windows awaiting consumption
-	readyHead int
-	free      [ringFreeWindows]*window.Window // passthrough window free-list
-	freeN     int
-	one       []*window.Window // reused length-1 buffer behind Get
+	ready readyQueue                      // operator-produced windows awaiting consumption
+	free  [ringFreeWindows]*window.Window // passthrough window free-list
+	freeN int
+	one   []*window.Window // reused length-1 buffer behind Get
 
-	// readyCount publishes len(ready)-readyHead to the quiescence monitor.
+	// readyCount publishes ready.len() to the quiescence monitor.
 	readyCount atomic.Int64
 	// busy is true from the moment the consumer wakes until it parks or
 	// exits: it covers the gap between popping an event and the director's
@@ -193,8 +192,9 @@ func (r *RingReceiver) GetBatch(buf []*window.Window, max int) ([]*window.Window
 			}
 		} else {
 			r.ingest()
-			for len(buf) < max && r.readyHead < len(r.ready) {
-				buf = append(buf, r.popReady())
+			for len(buf) < max && r.ready.len() > 0 {
+				buf = append(buf, r.ready.pop())
+				r.readyCount.Add(-1)
 			}
 		}
 		if r.parked.Load() > 0 {
@@ -250,36 +250,15 @@ func (r *RingReceiver) Get() (*window.Window, bool) {
 //
 //confvet:hotpath
 func (r *RingReceiver) ingest() {
-	had := len(r.ready)
+	had := r.ready.len()
 	now := r.clk.Now()
-	r.ready, _ = r.in.Ingest(now, ingestMax, r.ready)
-	if r.readyHead == len(r.ready) {
+	r.ready.q, _ = r.in.Ingest(now, ingestMax, r.ready.q)
+	if r.ready.len() == 0 {
 		if dl, ok := r.in.NextDeadline(); ok && !dl.After(now) {
-			r.ready, _ = r.in.Force(now, r.ready)
+			r.ready.q, _ = r.in.Force(now, r.ready.q)
 		}
 	}
-	r.readyCount.Add(int64(len(r.ready) - had))
-}
-
-// popReady dequeues the oldest ready window. The vacated slot is nilled so
-// the consumed window becomes collectable, and the queue compacts once the
-// dead prefix outweighs the live tail.
-func (r *RingReceiver) popReady() *window.Window {
-	w := r.ready[r.readyHead]
-	r.ready[r.readyHead] = nil
-	r.readyHead++
-	r.readyCount.Add(-1)
-	switch {
-	case r.readyHead == len(r.ready):
-		r.ready = r.ready[:0]
-		r.readyHead = 0
-	case r.readyHead >= 32 && r.readyHead*2 >= len(r.ready):
-		n := copy(r.ready, r.ready[r.readyHead:])
-		clear(r.ready[n:])
-		r.ready = r.ready[:n]
-		r.readyHead = 0
-	}
-	return w
+	r.readyCount.Add(int64(r.ready.len() - had))
 }
 
 // parkBound bounds a park by the operator's next formation deadline so the

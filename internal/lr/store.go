@@ -53,7 +53,15 @@ func segKey(xway, dir, seg int, minute int64) relstore.Row {
 	)
 }
 
-var segKeyCols = []string{"xway", "dir", "seg", "minute"}
+// segKeyCols and accKeyCols are the indexed key columns of the two
+// tables. Lookups append into a stack buffer: a segment-minute has one
+// row, and a highway direction holds the accidents of the last few
+// minutes (Expire keeps 300 s): at most 6 in full 600 s runs at seeds 1, 7
+// and 42, so 16 leaves room. A probe allocates only its key record.
+var (
+	segKeyCols = []string{"xway", "dir", "seg", "minute"}
+	accKeyCols = []string{"xway", "dir"}
+)
 
 // RecordMinuteAvg upserts the average speed of a segment-minute.
 func (db *DB) RecordMinuteAvg(xway, dir, seg int, minute int64, avg float64) {
@@ -75,8 +83,9 @@ func (db *DB) recordStat(xway, dir, seg int, minute int64, col string, v value.V
 	key := segKey(xway, dir, seg, minute)
 	db.statsMu.Lock()
 	defer db.statsMu.Unlock()
+	var buf [4]relstore.Row
 	var row relstore.Row
-	if rows := db.segStats.Lookup(segKeyCols, key); len(rows) > 0 {
+	if rows := db.segStats.Lookup(buf[:0], segKeyCols, key); len(rows) > 0 {
 		row = rows[0]
 	} else {
 		row = key.With("avgSpeed", value.Float(-1)).With("cars", value.Int(-1))
@@ -90,10 +99,10 @@ func (db *DB) recordStat(xway, dir, seg int, minute int64, col string, v value.V
 // minute: the mean of the per-minute average speeds over minutes
 // [minute-5, minute-1]. ok is false when no history exists yet.
 func (db *DB) LAV(xway, dir, seg int, minute int64) (float64, bool) {
+	var buf [4]relstore.Row
 	sum, n := 0.0, 0
 	for m := minute - LAVWindowMinutes; m < minute; m++ {
-		rows := db.segStats.Lookup(segKeyCols, segKey(xway, dir, seg, m))
-		for _, r := range rows {
+		for _, r := range db.segStats.Lookup(buf[:0], segKeyCols, segKey(xway, dir, seg, m)) {
 			if v := r.Float("avgSpeed"); v >= 0 {
 				sum += v
 				n++
@@ -108,8 +117,8 @@ func (db *DB) LAV(xway, dir, seg int, minute int64) (float64, bool) {
 
 // CarCount returns the distinct-car count of the previous minute.
 func (db *DB) CarCount(xway, dir, seg int, minute int64) (int, bool) {
-	rows := db.segStats.Lookup(segKeyCols, segKey(xway, dir, seg, minute-1))
-	for _, r := range rows {
+	var buf [4]relstore.Row
+	for _, r := range db.segStats.Lookup(buf[:0], segKeyCols, segKey(xway, dir, seg, minute-1)) {
 		if v := r.Int("cars"); v >= 0 {
 			return int(v), true
 		}
@@ -136,7 +145,8 @@ func (db *DB) InsertAccident(xway, dir, seg, pos int, tsSec int64) {
 //	(dir=0 AND seg >= ais.segment-4 AND seg <= ais.segment)
 func (db *DB) AccidentAhead(xway, dir, seg int, nowSec int64) (int, bool) {
 	key := value.NewRecord("xway", value.Int(int64(xway)), "dir", value.Int(int64(dir)))
-	for _, r := range db.accidents.Lookup([]string{"xway", "dir"}, key) {
+	var buf [16]relstore.Row
+	for _, r := range db.accidents.Lookup(buf[:0], accKeyCols, key) {
 		if r.Int("timestamp") < nowSec-AccidentFreshnessSeconds {
 			continue
 		}
@@ -158,7 +168,8 @@ func (db *DB) AccidentAhead(xway, dir, seg int, nowSec int64) (int, bool) {
 // at the exact position.
 func (db *DB) HasFreshAccidentAt(xway, dir, pos int, nowSec int64) bool {
 	key := value.NewRecord("xway", value.Int(int64(xway)), "dir", value.Int(int64(dir)))
-	for _, r := range db.accidents.Lookup([]string{"xway", "dir"}, key) {
+	var buf [16]relstore.Row
+	for _, r := range db.accidents.Lookup(buf[:0], accKeyCols, key) {
 		if r.Int("pos") == int64(pos) && r.Int("timestamp") >= nowSec-AccidentFreshnessSeconds {
 			return true
 		}
@@ -174,7 +185,8 @@ func (db *DB) HasFreshAccidentAt(xway, dir, pos int, nowSec int64) bool {
 // insertion.
 func (db *DB) UpsertAccident(xway, dir, seg, pos int, tsSec int64) {
 	key := value.NewRecord("xway", value.Int(int64(xway)), "dir", value.Int(int64(dir)))
-	for _, r := range db.accidents.Lookup([]string{"xway", "dir"}, key) {
+	var buf [16]relstore.Row
+	for _, r := range db.accidents.Lookup(buf[:0], accKeyCols, key) {
 		if r.Int("pos") != int64(pos) {
 			continue
 		}

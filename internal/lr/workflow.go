@@ -85,20 +85,20 @@ func Build(db *DB, feed actors.Feed, epoch time.Time, opts ...BuildOption) (*mod
 	stoppedInner := model.NewWorkflow("StoppedCarsInner")
 	compare := actors.NewFunc("ComparePositions", window.Passthrough(),
 		func(_ *model.FireContext, w *window.Window, emit func(value.Value)) error {
-			recs := w.Records()
-			if len(recs) < 4 {
+			if w.Len() < 4 {
 				return nil
 			}
-			pos := recs[0].Int("pos")
-			for _, r := range recs[1:] {
-				if r.Int("pos") != pos {
+			first := w.Record(0)
+			pos := first.Int("pos")
+			for i := 1; i < w.Len(); i++ {
+				if w.Record(i).Int("pos") != pos {
 					return nil
 				}
 			}
 			// The paper outputs the first of the four reports; the newest
 			// report's time rides along so the accident table records when
 			// the stop was (re-)confirmed, not when it began.
-			emit(recs[0].With("detectedAt", recs[3].Field("time")))
+			emit(first.With("detectedAt", w.Record(3).Field("time")))
 			return nil
 		})
 	stoppedInner.MustAdd(compare)
@@ -113,11 +113,10 @@ func Build(db *DB, feed actors.Feed, epoch time.Time, opts ...BuildOption) (*mod
 	accInner := model.NewWorkflow("AccidentDetectionInner")
 	collide := actors.NewFunc("CompareCarIDs", window.Passthrough(),
 		func(_ *model.FireContext, w *window.Window, emit func(value.Value)) error {
-			recs := w.Records()
-			if len(recs) < 2 {
+			if w.Len() < 2 {
 				return nil
 			}
-			a, b := recs[0], recs[1]
+			a, b := w.Record(0), w.Record(1)
 			if a.Int("carID") == b.Int("carID") {
 				return nil
 			}
@@ -137,7 +136,8 @@ func Build(db *DB, feed actors.Feed, epoch time.Time, opts ...BuildOption) (*mod
 	// Record the incident in the relational store (deduplicated).
 	insertAccident := actors.NewSink("InsertAccident", window.Passthrough(),
 		func(ctx *model.FireContext, w *window.Window) error {
-			for _, r := range w.Records() {
+			for i := range w.Len() {
+				r := w.Record(i)
 				xway, dir := int(r.Int("xway")), int(r.Int("dir"))
 				pos := int(r.Int("pos"))
 				ts := r.Int("detectedAt")
@@ -153,7 +153,8 @@ func Build(db *DB, feed actors.Feed, epoch time.Time, opts ...BuildOption) (*mod
 	// fresh accident within four segments downstream.
 	accNotify := actors.NewFunc("AccidentNotification", window.Passthrough(),
 		func(_ *model.FireContext, w *window.Window, emit func(value.Value)) error {
-			for _, r := range w.Records() {
+			for i := range w.Len() {
+				r := w.Record(i)
 				xway, dir, seg := int(r.Int("xway")), int(r.Int("dir")), int(r.Int("seg"))
 				if accSeg, ok := db.AccidentAhead(xway, dir, seg, r.Int("time")); ok {
 					emit(value.NewRecord(
@@ -176,21 +177,21 @@ func Build(db *DB, feed actors.Feed, epoch time.Time, opts ...BuildOption) (*mod
 	avgsvInner := model.NewWorkflow("AvgsvInner")
 	avgSpeed := actors.NewFunc("AverageSpeed", window.Passthrough(),
 		func(_ *model.FireContext, w *window.Window, emit func(value.Value)) error {
-			recs := w.Records()
-			if len(recs) == 0 {
+			n := w.Len()
+			if n == 0 {
 				return nil
 			}
 			sum := 0.0
-			for _, r := range recs {
-				sum += r.Float("speed")
+			for i := range n {
+				sum += w.Record(i).Float("speed")
 			}
-			last := recs[len(recs)-1]
+			last := w.Record(n - 1)
 			emit(value.NewRecord(
 				"xway", last.Field("xway"),
 				"dir", last.Field("dir"),
 				"seg", last.Field("seg"),
 				"minute", value.Int(w.Start.Unix()/60),
-				"avgsv", value.Float(sum/float64(len(recs))),
+				"avgsv", value.Float(sum/float64(n)),
 				"time", last.Field("time"),
 			))
 			return nil
@@ -209,21 +210,21 @@ func Build(db *DB, feed actors.Feed, epoch time.Time, opts ...BuildOption) (*mod
 	avgsInner := model.NewWorkflow("AvgsInner")
 	segAvg := actors.NewFunc("SegmentAverage", window.Passthrough(),
 		func(_ *model.FireContext, w *window.Window, emit func(value.Value)) error {
-			recs := w.Records()
-			if len(recs) == 0 {
+			n := w.Len()
+			if n == 0 {
 				return nil
 			}
 			sum := 0.0
-			for _, r := range recs {
-				sum += r.Float("avgsv")
+			for i := range n {
+				sum += w.Record(i).Float("avgsv")
 			}
-			last := recs[len(recs)-1]
+			last := w.Record(n - 1)
 			emit(value.NewRecord(
 				"xway", last.Field("xway"),
 				"dir", last.Field("dir"),
 				"seg", last.Field("seg"),
 				"minute", last.Field("minute"),
-				"avgs", value.Float(sum/float64(len(recs))),
+				"avgs", value.Float(sum/float64(n)),
 			))
 			return nil
 		})
@@ -238,26 +239,29 @@ func Build(db *DB, feed actors.Feed, epoch time.Time, opts ...BuildOption) (*mod
 
 	updateLAV := actors.NewSink("UpdateSegmentSpeed", window.Passthrough(),
 		func(_ *model.FireContext, w *window.Window) error {
-			for _, r := range w.Records() {
+			for i := range w.Len() {
+				r := w.Record(i)
 				db.RecordMinuteAvg(int(r.Int("xway")), int(r.Int("dir")), int(r.Int("seg")),
 					r.Int("minute"), r.Float("avgs"))
 			}
 			return nil
 		})
 
-	// cars: distinct cars per segment, per minute.
+	// cars: distinct cars per segment, per minute. The actor never fires
+	// concurrently with itself, so one set serves every firing.
 	carsInner := model.NewWorkflow("CarsInner")
+	distinct := map[int64]struct{}{}
 	countCars := actors.NewFunc("CountDistinctCars", window.Passthrough(),
 		func(_ *model.FireContext, w *window.Window, emit func(value.Value)) error {
-			recs := w.Records()
-			if len(recs) == 0 {
+			n := w.Len()
+			if n == 0 {
 				return nil
 			}
-			distinct := map[int64]bool{}
-			for _, r := range recs {
-				distinct[r.Int("carID")] = true
+			clear(distinct)
+			for i := range n {
+				distinct[w.Record(i).Int("carID")] = struct{}{}
 			}
-			last := recs[len(recs)-1]
+			last := w.Record(n - 1)
 			emit(value.NewRecord(
 				"xway", last.Field("xway"),
 				"dir", last.Field("dir"),
@@ -279,7 +283,8 @@ func Build(db *DB, feed actors.Feed, epoch time.Time, opts ...BuildOption) (*mod
 	lastExpired := int64(-1)
 	updateCount := actors.NewSink("UpdateCarCount", window.Passthrough(),
 		func(_ *model.FireContext, w *window.Window) error {
-			for _, r := range w.Records() {
+			for i := range w.Len() {
+				r := w.Record(i)
 				minute := r.Int("minute")
 				db.RecordCarCount(int(r.Int("xway")), int(r.Int("dir")), int(r.Int("seg")),
 					minute, int(r.Int("cars")))
@@ -296,11 +301,10 @@ func Build(db *DB, feed actors.Feed, epoch time.Time, opts ...BuildOption) (*mod
 	tollCalc := actors.NewFunc("TollCalculation", window.Spec{
 		Unit: window.Tuples, Size: 2, Step: 1, GroupBy: []string{"carID"},
 	}, func(_ *model.FireContext, w *window.Window, emit func(value.Value)) error {
-		recs := w.Records()
-		if len(recs) < 2 {
+		if w.Len() < 2 {
 			return nil
 		}
-		prev, cur := recs[0], recs[1]
+		prev, cur := w.Record(0), w.Record(1)
 		if prev.Int("seg") == cur.Int("seg") {
 			return nil // toll only on segment change
 		}

@@ -220,32 +220,27 @@ func (t *Table) Count(pred Predicate) int {
 	return n
 }
 
-// Lookup returns the rows whose indexed column tuple equals the key values,
-// using the index built with CreateIndex. It falls back to a scan when no
-// matching index exists. An indexed lookup allocates only its result, and
-// nothing when no row matches.
-func (t *Table) Lookup(cols []string, key Row) []Row {
+// Lookup appends to dst the rows whose column tuple cols equals key's and
+// returns the extended slice, as append does. It goes through the index
+// built with CreateIndex on exactly cols, and scans when there is none. An
+// indexed lookup into a dst with room allocates nothing, hit or miss.
+func (t *Table) Lookup(dst []Row, cols []string, key Row) []Row {
 	t.mu.RLock()
-	ix := t.indexOn(cols)
-	if ix == nil {
-		t.mu.RUnlock()
-		return t.Select(func(r Row) bool { return sameKey(r, key, cols) })
-	}
-	positions := ix.positions(key)
-	if len(positions) == 0 {
-		t.mu.RUnlock()
-		return nil
-	}
-	out := make([]Row, 0, len(positions))
-	for _, pos := range positions {
-		r := t.rows[pos]
-		if r.Len() == 0 {
-			continue
+	defer t.mu.RUnlock()
+	if ix := t.indexOn(cols); ix != nil {
+		for _, pos := range ix.positions(key) {
+			if r := t.rows[pos]; r.Len() > 0 {
+				dst = append(dst, r)
+			}
 		}
-		out = append(out, r)
+		return dst
 	}
-	t.mu.RUnlock()
-	return out
+	for _, r := range t.rows {
+		if r.Len() > 0 && sameKey(r, key, cols) {
+			dst = append(dst, r)
+		}
+	}
+	return dst
 }
 
 // Update rewrites every row satisfying pred with fn's result and returns

@@ -300,8 +300,8 @@ func reducer(fn, field string) (func(w *window.Window) value.Value, error) {
 				return nil
 			}
 			acc := 0.0
-			for i, r := range w.Records() {
-				x := r.Float(field)
+			for i := range w.Len() {
+				x := w.Record(i).Float(field)
 				switch fn {
 				case "avg", "sum":
 					acc += x

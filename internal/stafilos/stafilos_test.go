@@ -149,8 +149,8 @@ func TestWindowedActorUnderSCWF(t *testing.T) {
 	var windows [][]int64
 	agg := actors.NewAggregate("detect", spec, func(w *window.Window) value.Value {
 		var is []int64
-		for _, r := range w.Records() {
-			is = append(is, r.Int("i"))
+		for i := range w.Len() {
+			is = append(is, w.Record(i).Int("i"))
 		}
 		windows = append(windows, is)
 		return value.Int(is[0])

@@ -199,16 +199,12 @@ func (w *Window) Tokens() []value.Value {
 	return out
 }
 
-// Records returns the member tokens as records; non-record tokens become
-// empty records.
-func (w *Window) Records() []value.Record {
-	out := make([]value.Record, len(w.Events))
-	for i, e := range w.Events {
-		if r, ok := e.Token.(value.Record); ok {
-			out[i] = r
-		}
-	}
-	return out
+// Record reads member i's token as a record, in place; a non-record token
+// reads as the empty record. Records are immutable values, so the result
+// may outlive the firing that borrows the window.
+func (w *Window) Record(i int) value.Record {
+	r, _ := w.Events[i].Token.(value.Record)
+	return r
 }
 
 func (w *Window) finalize() {

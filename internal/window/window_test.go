@@ -192,12 +192,12 @@ func TestTupleGroupBy(t *testing.T) {
 		if w.Len() != 4 {
 			t.Fatalf("window has %d events, want 4", w.Len())
 		}
-		car := w.Records()[0].Int("carID")
+		car := w.Record(0).Int("carID")
 		if w.Group != fmt.Sprintf("%d", car) {
 			t.Errorf("Group = %q for car %d", w.Group, car)
 		}
-		for _, r := range w.Records() {
-			if r.Int("carID") != car {
+		for i := range w.Len() {
+			if w.Record(i).Int("carID") != car {
 				t.Errorf("window mixes cars: %v", w.Events)
 			}
 		}
@@ -426,12 +426,11 @@ func TestTokensAndRecordsAccessors(t *testing.T) {
 	if len(toks) != 2 {
 		t.Fatalf("Tokens len = %d", len(toks))
 	}
-	recs := ws[0].Records()
-	if recs[0].Int("a") != 1 {
-		t.Errorf("Records[0] = %v", recs[0])
+	if r := ws[0].Record(0); r.Int("a") != 1 {
+		t.Errorf("Record(0) = %v", r)
 	}
-	if recs[1].Len() != 0 {
-		t.Errorf("non-record token should give empty record, got %v", recs[1])
+	if r := ws[0].Record(1); r.Len() != 0 {
+		t.Errorf("non-record token should give empty record, got %v", r)
 	}
 }
 
@@ -534,10 +533,10 @@ func TestGroupByEquivalenceProperty(t *testing.T) {
 			ev := tk.External(rec, ts(float64(i)))
 			for _, w := range grouped.Put(ev, ts(float64(i))) {
 				var vals []int64
-				for _, r := range w.Records() {
-					vals = append(vals, r.Int("i"))
+				for j := range w.Len() {
+					vals = append(vals, w.Record(j).Int("i"))
 				}
-				kk := uint8(w.Records()[0].Int("k"))
+				kk := uint8(w.Record(0).Int("k"))
 				gotByKey[kk] = append(gotByKey[kk], vals)
 			}
 			solo, ok := perKey[k]
@@ -548,8 +547,8 @@ func TestGroupByEquivalenceProperty(t *testing.T) {
 			ev2 := tk.External(rec, ts(float64(i)))
 			for _, w := range solo.Put(ev2, ts(float64(i))) {
 				var vals []int64
-				for _, r := range w.Records() {
-					vals = append(vals, r.Int("i"))
+				for j := range w.Len() {
+					vals = append(vals, w.Record(j).Int("i"))
 				}
 				wantByKey[k] = append(wantByKey[k], vals)
 			}
