@@ -59,14 +59,14 @@ bench-build:
 # bench-gate enforces the hot-path acceptance criteria (see DESIGN.md,
 # section "Zero-alloc hot path"): the steady-state firing loop, SCWF
 # passthrough delivery, the binary value codec, the bridge's per-event
-# encode, DDF and SDF composite firings and an indexed relstore Lookup into
-# a buffer with room (hit or miss) must allocate nothing, a back-pressured
-# PNCWF pipeline draining 200k events and a pipeline on the sequential SCWF
-# director at most 0.05 objects per event, keyed records through group-by
-# sliding and timed windows on it at most 2, NewRecord exactly one (its
-# value slice), a short virtual-time Linear Road at most its stated
-# allocations per report, and the lock-free ring invariants must hold at
-# 1, 2 and 8 schedulable cores. Every leg is exact: allocations are counted
+# encode, DDF and SDF composite firings, the sequential SCWF director's idle
+# advances and an indexed relstore Lookup into a buffer with room (hit or
+# miss) must allocate nothing, a back-pressured PNCWF pipeline draining
+# 200k events and a pipeline on the sequential SCWF director at most 0.05
+# objects per event, keyed records through group-by sliding and timed
+# windows on it at most 2, NewRecord exactly one (its value slice), a short
+# virtual-time Linear Road at most its stated allocations per report, and
+# the lock-free ring invariants must hold at 1, 2 and 8 schedulable cores. Every leg is exact: allocations are counted
 # over a whole run, not averaged per operation; no wall-clock figure, no
 # retry.
 bench-gate:
@@ -75,7 +75,7 @@ bench-gate:
 	GOMAXPROCS=1 $(GO) test ./internal/ring/ -count 1
 	GOMAXPROCS=2 $(GO) test ./internal/ring/ -count 1
 	GOMAXPROCS=8 $(GO) test ./internal/ring/ -count 1
-	$(GO) test ./internal/stafilos/ -run 'TestSCWFPassthroughDeliveryZeroAlloc|TestSequentialPipelineSteadyStateAllocs|TestWindowedDeliverySteadyStateAllocs' -v -count 1
+	$(GO) test ./internal/stafilos/ -run 'TestSCWFPassthroughDeliveryZeroAlloc|TestSequentialPipelineSteadyStateAllocs|TestWindowedDeliverySteadyStateAllocs|TestAdvanceIdleAllocs' -v -count 1
 	$(GO) test ./internal/dist/ -run TestAppendEventZeroAlloc -v -count 1
 	$(GO) test ./internal/value/ -run 'TestNewRecordAllocs|TestAppendBinaryZeroAlloc' -v -count 1
 	$(GO) test ./internal/relstore/ -run TestIndexedLookupAllocs -v -count 1

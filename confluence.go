@@ -188,17 +188,20 @@ func NewSink(name string, spec WindowSpec, fn func(ctx *FireContext, w *Window) 
 // NewCollect gathers every token for inspection.
 func NewCollect(name string) *Collect { return actors.NewCollect(name) }
 
-// NewComposite builds an opaque composite actor over an inner workflow
-// governed by an SDF or DDF inside-director.
-func NewComposite(name string, inner *Workflow, inside director.InsideDirector) *Composite {
-	return director.NewComposite(name, inner, inside)
+// MoC is a composite's inner model of computation.
+type MoC = director.MoC
+
+// The two inner models of computation a composite runs under.
+const (
+	SDF = director.SDF
+	DDF = director.DDF
+)
+
+// NewComposite builds an opaque composite actor over an inner workflow run
+// under moc, SDF or DDF.
+func NewComposite(name string, inner *Workflow, moc MoC) *Composite {
+	return director.NewComposite(name, inner, moc)
 }
-
-// NewSDF and NewDDF build inside-directors for composites.
-func NewSDF() *director.SDF { return director.NewSDF() }
-
-// NewDDF builds a dynamic-dataflow inside-director.
-func NewDDF() *director.DDF { return director.NewDDF() }
 
 // NewResponseCollector builds a QoS response-time collector.
 func NewResponseCollector(name string, epoch time.Time, deadline time.Duration) *metrics.ResponseCollector {

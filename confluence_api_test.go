@@ -103,7 +103,7 @@ func TestFacadeCompositeAndProbe(t *testing.T) {
 		return confluence.Int(int(v.(confluence.IntValue)) + 1)
 	})
 	inner.MustAdd(inc)
-	comp := confluence.NewComposite("comp", inner, confluence.NewSDF())
+	comp := confluence.NewComposite("comp", inner, confluence.SDF)
 	comp.AddInput("in", confluence.Passthrough(), inc.In())
 	out := comp.AddOutput("out", inc.Out())
 

@@ -138,19 +138,18 @@ var mutants = []mutant{
 		after:    "var calls64 int\n\nfunc AppendBinary(buf []byte, v Value) []byte {\n\tif calls64++; calls64%64 == 0 {\n\t\tbuf = append(make([]byte, 0, cap(buf)), buf...)\n\t}\n",
 		caughtBy: "internal/value:TestAppendBinaryZeroAlloc",
 	},
-	// per-firing copies on Linear Road's data path: the composite builds its
-	// emit hook as a closure on every Fire, the inner ready queue re-slices
-	// its head away (so every inject eventually reallocates), and an indexed
-	// Lookup makes a fresh result instead of appending to the caller's
-	// buffer.
+	// per-firing copies on Linear Road's data path: the composite injects a
+	// copy of the consumed window, the inner ready queue re-slices its head
+	// away (so every inject eventually reallocates), and an indexed Lookup
+	// makes a fresh result instead of appending to the caller's buffer.
 	{
-		name: "composite_hook_closure", file: "internal/director/composite.go",
-		before:   "\terr := c.dir.RunToQuiescence(c.hook)\n",
-		after:    "\terr := c.dir.RunToQuiescence(func(em model.Emission) bool { return c.forward(em) })\n",
+		name: "composite_window_copy", file: "internal/director/composite.go",
+		before:   "\t\t\t\tr.ready.push(w)\n",
+		after:    "\t\t\t\tcp := *w\n\t\t\t\tr.ready.push(&cp)\n",
 		caughtBy: "internal/director:TestCompositeFireAllocs",
 	},
 	{
-		name: "ready_queue_reslice", file: "internal/director/inside.go",
+		name: "ready_queue_reslice", file: "internal/director/composite.go",
 		before:   "\tw := f.q[f.head]\n\tf.q[f.head] = nil\n\tf.head++\n",
 		after:    "\tw := f.q[f.head]\n\tf.q = f.q[1:]\n\treturn w\n",
 		caughtBy: "internal/director:TestCompositeFireAllocs",
@@ -160,6 +159,14 @@ var mutants = []mutant{
 		before:   "\t\tfor _, pos := range ix.positions(key) {\n",
 		after:    "\t\tdst = append(make([]Row, 0, len(dst)+1), dst...)\n\t\tfor _, pos := range ix.positions(key) {\n",
 		caughtBy: "internal/relstore:TestIndexedLookupAllocs",
+	},
+	// the sequential director rebuilds the source list on every idle
+	// advance.
+	{
+		name: "idle_sources_rebuilt", file: "internal/stafilos/director.go",
+		before:   "\tfor _, a := range d.sources {\n",
+		after:    "\tfor _, a := range d.wf.Sources() {\n",
+		caughtBy: "internal/stafilos:TestAdvanceIdleAllocs",
 	},
 	// time.Now in a //confvet:hotpath function instead of the receiver's
 	// clock.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/actors"
 	"repro/internal/clock"
 	"repro/internal/director"
+	"repro/internal/event"
 	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/stafilos"
@@ -218,11 +219,10 @@ func TestSDFBalanceSolver(t *testing.T) {
 	wf.MustAdd(a, b)
 	wf.MustConnect(a.out, b.in)
 
-	d := director.NewSDF()
-	if err := d.Setup(wf, clock.NewVirtual()); err != nil {
+	reps, err := director.SolveBalance(wf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	reps := d.Repetitions()
 	if reps["A"] != 3 || reps["B"] != 2 {
 		t.Errorf("repetition vector = %v, want A:3 B:2", reps)
 	}
@@ -236,11 +236,11 @@ func TestSDFBalanceSolverUnitRates(t *testing.T) {
 	wf.MustAdd(a, b, c)
 	wf.MustConnect(a.out, b.in)
 	wf.MustConnect(b.out, c.in)
-	d := director.NewSDF()
-	if err := d.Setup(wf, clock.NewVirtual()); err != nil {
+	reps, err := director.SolveBalance(wf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for n, r := range d.Repetitions() {
+	for n, r := range reps {
 		if r != 1 {
 			t.Errorf("rep[%s] = %d, want 1", n, r)
 		}
@@ -256,9 +256,13 @@ func TestSDFBalanceSolverInconsistent(t *testing.T) {
 	wf.MustAdd(a, b)
 	wf.MustConnect(a.out, b.in)
 	wf.MustConnect(a.out2, b.in)
-	d := director.NewSDF()
-	if err := d.Setup(wf, clock.NewVirtual()); err == nil {
+	if _, err := director.SolveBalance(wf); err == nil {
 		t.Error("inconsistent SDF graph accepted")
+	}
+	comp := director.NewComposite("comp", wf, director.SDF)
+	comp.AddInput("in", window.Passthrough(), b.in)
+	if err := comp.Initialize(model.NewFireContext(clock.NewVirtual(), event.NewTimekeeper())); err == nil {
+		t.Error("SDF composite over an inconsistent graph initialized")
 	}
 }
 
@@ -309,7 +313,7 @@ func (a *ratedActor2) Rate(p *model.Port) int {
 }
 
 // buildCompositeWF wires src -> composite(inner: stamp->double) -> sink.
-func buildCompositeWF(t *testing.T, inside director.InsideDirector) (*model.Workflow, *actors.Collect) {
+func buildCompositeWF(t *testing.T, moc director.MoC) (*model.Workflow, *actors.Collect) {
 	t.Helper()
 	inner := model.NewWorkflow("inner")
 	stamp := actors.NewMap("stamp", func(v value.Value) value.Value {
@@ -321,7 +325,7 @@ func buildCompositeWF(t *testing.T, inside director.InsideDirector) (*model.Work
 	inner.MustAdd(stamp, double)
 	inner.MustConnect(stamp.Out(), double.In())
 
-	comp := director.NewComposite("comp", inner, inside)
+	comp := director.NewComposite("comp", inner, moc)
 	comp.AddInput("in", window.Passthrough(), stamp.In())
 	out := comp.AddOutput("out", double.Out())
 
@@ -337,11 +341,8 @@ func buildCompositeWF(t *testing.T, inside director.InsideDirector) (*model.Work
 }
 
 func TestCompositeUnderSCWF(t *testing.T) {
-	for _, mk := range []func() director.InsideDirector{
-		func() director.InsideDirector { return director.NewDDF() },
-		func() director.InsideDirector { return director.NewSDF() },
-	} {
-		wf, sink := buildCompositeWF(t, mk())
+	for _, moc := range []director.MoC{director.DDF, director.SDF} {
+		wf, sink := buildCompositeWF(t, moc)
 		d := stafilos.NewDirector(sched.NewQBS(0), stafilos.Options{
 			Clock:          clock.NewVirtual(),
 			Cost:           stafilos.UniformCostModel{Cost: 50 * time.Microsecond},
@@ -371,7 +372,7 @@ func TestCompositePreservesEventTime(t *testing.T) {
 	inner := model.NewWorkflow("inner")
 	pass := actors.NewMap("pass", func(v value.Value) value.Value { return v })
 	inner.MustAdd(pass)
-	comp := director.NewComposite("comp", inner, director.NewDDF())
+	comp := director.NewComposite("comp", inner, director.DDF)
 	comp.AddInput("in", window.Passthrough(), pass.In())
 	out := comp.AddOutput("out", pass.Out())
 
@@ -404,6 +405,44 @@ func TestCompositePreservesEventTime(t *testing.T) {
 	for i, got := range times {
 		if want := ts(100 + float64(i)); !got.Equal(want) {
 			t.Errorf("event %d time = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestCompositeInjectsInDeclarationOrder fires a composite whose two external
+// inputs are bound to one inner port, with both windows staged (in the
+// reverse order): the inner actor must see the first-declared input's window
+// first, on every firing.
+func TestCompositeInjectsInDeclarationOrder(t *testing.T) {
+	inner := model.NewWorkflow("inner")
+	var seen []*window.Window
+	sink := actors.NewSink("sink", window.Passthrough(), func(_ *model.FireContext, w *window.Window) error {
+		seen = append(seen, w)
+		return nil
+	})
+	inner.MustAdd(sink)
+	comp := director.NewComposite("comp", inner, director.DDF)
+	first := comp.AddInput("first", window.Passthrough(), sink.In())
+	second := comp.AddInput("second", window.Passthrough(), sink.In())
+	ctx := model.NewFireContext(clock.NewVirtual(), event.NewTimekeeper())
+	if err := comp.Initialize(ctx); err != nil {
+		t.Fatal(err)
+	}
+	tk := event.NewTimekeeper()
+	w1 := &window.Window{Events: []*event.Event{tk.External(value.Int(1), ts(0))}}
+	w2 := &window.Window{Events: []*event.Event{tk.External(value.Int(2), ts(0))}}
+	for i := range 100 {
+		seen = seen[:0]
+		ctx.BeginFiring(w2.Events[0])
+		ctx.Stage(second, w2)
+		ctx.Stage(first, w1)
+		if err := comp.Fire(ctx); err != nil {
+			t.Fatal(err)
+		}
+		ctx.EndFiring()
+		if len(seen) != 2 || seen[0] != w1 || seen[1] != w2 {
+			t.Fatalf("firing %d: inner actor saw %d windows, first-declared first: %v; want 2, true",
+				i, len(seen), len(seen) > 0 && seen[0] == w1)
 		}
 	}
 }

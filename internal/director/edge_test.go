@@ -142,15 +142,21 @@ func TestThreadSimActorErrorPropagates(t *testing.T) {
 }
 
 func TestCompositeRejectsUnboundInput(t *testing.T) {
-	inner := model.NewWorkflow("inner")
-	pass := actors.NewMap("pass", func(v value.Value) value.Value { return v })
-	inner.MustAdd(pass)
-	comp := director.NewComposite("comp", inner, director.NewDDF())
-	comp.AddInput("in", window.Passthrough()) // bound to nothing
+	outside := actors.NewMap("outside", func(v value.Value) value.Value { return v })
+	for what, bound := range map[string][]*model.Port{
+		"bound to nothing":                 nil,
+		"bound outside its inner workflow": {outside.In()},
+	} {
+		inner := model.NewWorkflow("inner")
+		pass := actors.NewMap("pass", func(v value.Value) value.Value { return v })
+		inner.MustAdd(pass)
+		comp := director.NewComposite("comp", inner, director.DDF)
+		comp.AddInput("in", window.Passthrough(), bound...)
 
-	ctx := model.NewFireContext(clock.NewVirtual(), nil)
-	if err := comp.Initialize(ctx); err == nil {
-		t.Error("composite with unbound input initialized")
+		ctx := model.NewFireContext(clock.NewVirtual(), nil)
+		if err := comp.Initialize(ctx); err == nil {
+			t.Errorf("composite with an input %s initialized", what)
+		}
 	}
 }
 

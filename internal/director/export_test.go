@@ -31,3 +31,6 @@ func stacks() []byte {
 	buf := make([]byte, 1<<20)
 	return buf[:runtime.Stack(buf, true)]
 }
+
+// SolveBalance exposes the SDF balance-equation solver.
+var SolveBalance = solveBalance

@@ -151,14 +151,14 @@ func TestPNCWFPipeDrainAllocs(t *testing.T) {
 
 // TestCompositeFireAllocs is the composite path's allocation gate: n firings
 // of a DDF and of an SDF composite whose inner actor emits nothing — the
-// inject into the inner ready queue, the inside director's run to
-// quiescence and the emit hook — counted exactly inside one
-// AllocsPerRun(1, …), with the bound stated as a total of 0. The hook is
-// bound once per composite, not built per firing, and the ready queue
+// inject into the inner ready queue, the passes to quiescence and the
+// emission filter — counted exactly inside one AllocsPerRun(1, …), with the
+// bound stated as a total of 0. Each inner actor's context and receivers
+// are resolved once at Initialize, not per firing, and the ready queue
 // reuses its backing array.
 func TestCompositeFireAllocs(t *testing.T) {
-	for _, inside := range []InsideDirector{NewDDF(), NewSDF()} {
-		t.Run(inside.Name(), func(t *testing.T) {
+	for _, moc := range []MoC{DDF, SDF} {
+		t.Run(moc.String(), func(t *testing.T) {
 			inner := model.NewWorkflow("inner")
 			fired := 0
 			sink := actors.NewSink("sink", window.Passthrough(), func(_ *model.FireContext, _ *window.Window) error {
@@ -166,7 +166,7 @@ func TestCompositeFireAllocs(t *testing.T) {
 				return nil
 			})
 			inner.MustAdd(sink)
-			c := NewComposite("comp", inner, inside)
+			c := NewComposite("comp", inner, moc)
 			in := c.AddInput("in", window.Passthrough(), sink.In())
 			ctx := model.NewFireContext(clock.NewVirtual(), event.NewTimekeeper())
 			if err := c.Initialize(ctx); err != nil {
@@ -193,7 +193,7 @@ func TestCompositeFireAllocs(t *testing.T) {
 				t.Fatalf("inner actor fired %d times, want %d", fired, 2*n+1)
 			}
 			if allocs != 0 {
-				t.Errorf("%d %s composite firings allocate %.0f objects in total, want 0", n, inside.Name(), allocs)
+				t.Errorf("%d %s composite firings allocate %.0f objects in total, want 0", n, moc, allocs)
 			}
 		})
 	}

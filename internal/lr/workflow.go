@@ -102,7 +102,7 @@ func Build(db *DB, feed actors.Feed, epoch time.Time, opts ...BuildOption) (*mod
 			return nil
 		})
 	stoppedInner.MustAdd(compare)
-	stopped := director.NewComposite("StoppedCars", stoppedInner, director.NewDDF())
+	stopped := director.NewComposite("StoppedCars", stoppedInner, director.DDF)
 	stoppedIn := stopped.AddInput("in", window.Spec{
 		Unit: window.Tuples, Size: 4, Step: 1, GroupBy: []string{"carID"},
 	}, compare.In())
@@ -127,7 +127,7 @@ func Build(db *DB, feed actors.Feed, epoch time.Time, opts ...BuildOption) (*mod
 			return nil
 		})
 	accInner.MustAdd(collide)
-	accident := director.NewComposite("AccidentDetection", accInner, director.NewDDF())
+	accident := director.NewComposite("AccidentDetection", accInner, director.DDF)
 	accidentIn := accident.AddInput("in", window.Spec{
 		Unit: window.Tuples, Size: 2, Step: 1, GroupBy: []string{"xway", "dir", "pos"},
 	}, collide.In())
@@ -197,7 +197,7 @@ func Build(db *DB, feed actors.Feed, epoch time.Time, opts ...BuildOption) (*mod
 			return nil
 		})
 	avgsvInner.MustAdd(avgSpeed)
-	avgsv := director.NewComposite("Avgsv", avgsvInner, director.NewSDF())
+	avgsv := director.NewComposite("Avgsv", avgsvInner, director.SDF)
 	avgsvIn := avgsv.AddInput("in", window.Spec{
 		Unit: window.Time, SizeDur: time.Minute, StepDur: time.Minute,
 		GroupBy: []string{"carID", "xway", "dir", "seg"},
@@ -229,7 +229,7 @@ func Build(db *DB, feed actors.Feed, epoch time.Time, opts ...BuildOption) (*mod
 			return nil
 		})
 	avgsInner.MustAdd(segAvg)
-	avgs := director.NewComposite("Avgs", avgsInner, director.NewSDF())
+	avgs := director.NewComposite("Avgs", avgsInner, director.SDF)
 	avgsIn := avgs.AddInput("in", window.Spec{
 		Unit: window.Time, SizeDur: time.Minute, StepDur: time.Minute,
 		GroupBy: []string{"xway", "dir", "seg"},
@@ -272,7 +272,7 @@ func Build(db *DB, feed actors.Feed, epoch time.Time, opts ...BuildOption) (*mod
 			return nil
 		})
 	carsInner.MustAdd(countCars)
-	cars := director.NewComposite("cars", carsInner, director.NewSDF())
+	cars := director.NewComposite("cars", carsInner, director.SDF)
 	carsIn := cars.AddInput("in", window.Spec{
 		Unit: window.Time, SizeDur: time.Minute, StepDur: time.Minute,
 		GroupBy: []string{"xway", "dir", "seg"},

@@ -14,13 +14,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"repro/internal/obs/sketch"
 )
 
 // Counter is a monotonically increasing metric. The zero value is ready to
@@ -38,57 +38,13 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an integer-valued level metric. The zero value is ready to use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// histFiniteBuckets is the number of finite histogram buckets: powers of two
-// microseconds from 1µs (2^0) to ~4.19s (2^22); slower observations land in
-// the implicit +Inf bucket.
+// histFiniteBuckets is the number of finite buckets a histogram renders:
+// the latency sketch's power-of-two microsecond buckets from 1µs (2^0) to
+// ~4.19s (2^22); slower observations count only toward +Inf.
 const histFiniteBuckets = 23
 
 // histBound returns the i-th bucket's upper bound in seconds.
 func histBound(i int) float64 { return math.Ldexp(1e-6, i) }
-
-// Histogram is a latency histogram with power-of-two buckets (1µs, 2µs, …,
-// ~4.19s, +Inf). Observations are durations; Observe is lock-free and
-// allocation-free. The zero value is ready to use.
-type Histogram struct {
-	buckets [histFiniteBuckets + 1]atomic.Int64 // last slot is +Inf overflow
-	count   atomic.Int64
-	sum     atomic.Int64 // nanoseconds
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	us := uint64(d / time.Microsecond)
-	idx := 0
-	if us > 0 {
-		idx = bits.Len64(us - 1) // smallest i with us <= 2^i
-	}
-	if idx > histFiniteBuckets {
-		idx = histFiniteBuckets // +Inf
-	}
-	h.buckets[idx].Add(1)
-	h.count.Add(1)
-	h.sum.Add(int64(d))
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // metric type names in the exposition format.
 const (
@@ -105,9 +61,8 @@ type family struct {
 	typ   string
 	label string // label name for children ("" = single instrument)
 
-	single   any      // *Counter, *Gauge or *Histogram when label == ""
+	single   any      // *Counter or *sketch.Sketch when label == ""
 	children sync.Map // label value (string) -> instrument
-	newChild func() any
 
 	// collect, when set, produces the family's samples at scrape time
 	// instead of from stored instruments.
@@ -127,16 +82,16 @@ func (v *CounterVec) With(labelValue string) *Counter {
 	return c.(*Counter)
 }
 
-// HistogramVec is a family of histograms keyed by one label.
+// HistogramVec is a family of latency histograms keyed by one label.
 type HistogramVec struct{ fam *family }
 
 // With resolves the histogram child for the given label value.
-func (v *HistogramVec) With(labelValue string) *Histogram {
+func (v *HistogramVec) With(labelValue string) *sketch.Sketch {
 	if h, ok := v.fam.children.Load(labelValue); ok {
-		return h.(*Histogram)
+		return h.(*sketch.Sketch)
 	}
-	h, _ := v.fam.children.LoadOrStore(labelValue, &Histogram{})
-	return h.(*Histogram)
+	h, _ := v.fam.children.LoadOrStore(labelValue, &sketch.Sketch{})
+	return h.(*sketch.Sketch)
 }
 
 // Registry holds metric families and renders them in Prometheus text
@@ -169,18 +124,11 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 	return f.single.(*Counter)
 }
 
-// NewGauge registers and returns an unlabeled gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{}
-	f := r.register(&family{name: name, help: help, typ: typeGauge, single: g})
-	return f.single.(*Gauge)
-}
-
 // NewHistogram registers and returns an unlabeled latency histogram.
-func (r *Registry) NewHistogram(name, help string) *Histogram {
-	h := &Histogram{}
+func (r *Registry) NewHistogram(name, help string) *sketch.Sketch {
+	h := &sketch.Sketch{}
 	f := r.register(&family{name: name, help: help, typ: typeHistogram, single: h})
-	return f.single.(*Histogram)
+	return f.single.(*sketch.Sketch)
 }
 
 // NewCounterVec registers a counter family keyed by one label.
@@ -262,18 +210,19 @@ func writeInstrument(b *strings.Builder, name, label, labelValue string, inst an
 	switch m := inst.(type) {
 	case *Counter:
 		writeSample(b, name, label, labelValue, float64(m.Value()))
-	case *Gauge:
-		writeSample(b, name, label, labelValue, float64(m.Value()))
-	case *Histogram:
+	case *sketch.Sketch:
 		writeHistogram(b, name, label, labelValue, m)
 	}
 }
 
-// writeHistogram renders cumulative buckets plus _sum (seconds) and _count.
-func writeHistogram(b *strings.Builder, name, label, labelValue string, h *Histogram) {
+// writeHistogram renders the first histFiniteBuckets sketch buckets
+// cumulatively, +Inf as the total, plus _sum (seconds) and _count.
+func writeHistogram(b *strings.Builder, name, label, labelValue string, h *sketch.Sketch) {
+	var s sketch.Snapshot
+	h.Load(&s)
 	cum := int64(0)
 	for i := 0; i < histFiniteBuckets; i++ {
-		cum += h.buckets[i].Load()
+		cum += s.Counts[i]
 		le := strconv.FormatFloat(histBound(i), 'g', -1, 64)
 		b.WriteString(name)
 		b.WriteString("_bucket{")
@@ -287,10 +236,10 @@ func writeHistogram(b *strings.Builder, name, label, labelValue string, h *Histo
 	if label != "" {
 		fmt.Fprintf(b, "%s=%q,", label, labelValue)
 	}
-	fmt.Fprintf(b, "le=\"+Inf\"} %d\n", h.count.Load())
+	fmt.Fprintf(b, "le=\"+Inf\"} %d\n", s.Total)
 	sumName, countName := name+"_sum", name+"_count"
-	writeSample(b, sumName, label, labelValue, float64(h.sum.Load())/1e9)
-	writeSample(b, countName, label, labelValue, float64(h.count.Load()))
+	writeSample(b, sumName, label, labelValue, float64(s.SumNS)/1e9)
+	writeSample(b, countName, label, labelValue, float64(s.Total))
 }
 
 // writeSample renders one sample line. Integral values print without a

@@ -13,6 +13,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs/latency"
 	"repro/internal/obs/prov"
+	"repro/internal/obs/sketch"
 	"repro/internal/stats"
 )
 
@@ -147,8 +148,8 @@ type Engine struct {
 
 	// hot-path instruments, updated by the director hooks.
 	firingSeconds *HistogramVec // by actor
-	queueWait     *Histogram
-	claimSeconds  *Histogram
+	queueWait     *sketch.Sketch
+	claimSeconds  *sketch.Sketch
 	claims        *CounterVec // by result: picked | empty
 	picked        *CounterVec // by actor
 	parked        *CounterVec // by actor

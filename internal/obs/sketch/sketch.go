@@ -1,10 +1,11 @@
-// Package sketch provides the introspection layer's mergeable latency
-// quantile sketch: one atomic counter per power-of-two microsecond bucket
-// plus an atomic max, so an observation is one increment and (rarely) one
-// CAS. It is a leaf package — no obs imports — shared by the QoS monitor
-// (internal/obs/qos) and the latency attribution engine
-// (internal/obs/latency), which sit on opposite sides of the obs package
-// and therefore cannot share code through it.
+// Package sketch provides the introspection layer's one latency summary: a
+// mergeable quantile sketch with one atomic counter per power-of-two
+// microsecond bucket, a nanosecond sum and an atomic max, so an observation
+// is three increments and (rarely) one CAS. It is a leaf package — no obs
+// imports — shared by the Prometheus histograms (internal/obs), the QoS
+// monitor (internal/obs/qos) and the latency attribution engine
+// (internal/obs/latency), which sit on both sides of the obs package and
+// therefore cannot share code through it.
 package sketch
 
 import (
@@ -16,8 +17,9 @@ import (
 
 // Buckets is the bucket count of the latency sketch: power-of-two
 // microsecond buckets 1µs..2^27µs (~134s) plus an overflow bucket, wide
-// enough to place a 5s deadline with headroom (the obs histogram's 23
-// buckets cap at ~4.2s, too tight for SLO thresholds in that range).
+// enough to place a 5s deadline with headroom (the /metrics histograms
+// render only the first 23, up to ~4.2s, too tight for SLO thresholds in
+// that range).
 const Buckets = 28
 
 // Sketch is a mergeable quantile sketch. Quantile estimates carry a
@@ -28,6 +30,7 @@ const Buckets = 28
 type Sketch struct {
 	counts [Buckets + 1]atomic.Int64 // [Buckets] = overflow
 	total  atomic.Int64
+	sumNS  atomic.Int64
 	maxUS  atomic.Int64
 }
 
@@ -54,6 +57,7 @@ func (s *Sketch) Observe(d time.Duration) {
 	}
 	s.counts[BucketOf(d)].Add(1)
 	s.total.Add(1)
+	s.sumNS.Add(int64(d))
 	us := int64(d / time.Microsecond)
 	for {
 		cur := s.maxUS.Load()
@@ -70,6 +74,7 @@ func (s *Sketch) Reset() {
 		s.counts[i].Store(0)
 	}
 	s.total.Store(0)
+	s.sumNS.Store(0)
 	s.maxUS.Store(0)
 }
 
@@ -78,6 +83,7 @@ func (s *Sketch) Reset() {
 type Snapshot struct {
 	Counts [Buckets + 1]int64
 	Total  int64
+	SumNS  int64
 	MaxUS  int64
 }
 
@@ -88,6 +94,7 @@ func (s *Sketch) Load(into *Snapshot) {
 		into.Counts[i] += s.counts[i].Load()
 	}
 	into.Total += s.total.Load()
+	into.SumNS += s.sumNS.Load()
 	if m := s.maxUS.Load(); m > into.MaxUS {
 		into.MaxUS = m
 	}
@@ -99,6 +106,7 @@ func (s *Snapshot) Merge(o Snapshot) {
 		s.Counts[i] += o.Counts[i]
 	}
 	s.Total += o.Total
+	s.SumNS += o.SumNS
 	if o.MaxUS > s.MaxUS {
 		s.MaxUS = o.MaxUS
 	}

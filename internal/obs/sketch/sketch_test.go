@@ -22,6 +22,8 @@ func TestBucketOf(t *testing.T) {
 		{5 * time.Microsecond, 3},
 		{time.Millisecond, 10},
 		{time.Second, 20},
+		{4 * time.Second, 22}, // the last bucket /metrics renders finite
+		{5 * time.Second, 23},
 		{(1 << 27) * time.Microsecond, 27},
 		{(1<<27 + 1) * time.Microsecond, Buckets},
 		{10 * time.Minute, Buckets},
@@ -94,7 +96,9 @@ func TestSnapshotMergeMatchesCombinedSketch(t *testing.T) {
 		40 * time.Millisecond, time.Second, 3 * time.Minute,
 	}
 	var a, b, combined Sketch
+	var sum time.Duration
 	for i, d := range samples {
+		sum += d
 		if i%2 == 0 {
 			a.Observe(d)
 		} else {
@@ -110,8 +114,8 @@ func TestSnapshotMergeMatchesCombinedSketch(t *testing.T) {
 	if sa != sc {
 		t.Fatalf("merged snapshot %+v != combined sketch %+v", sa, sc)
 	}
-	if sa.Total != int64(len(samples)) || sa.Max() != 3*time.Minute {
-		t.Errorf("merged total=%d max=%v", sa.Total, sa.Max())
+	if sa.Total != int64(len(samples)) || sa.Max() != 3*time.Minute || sa.SumNS != int64(sum) {
+		t.Errorf("merged total=%d max=%v sum=%dns", sa.Total, sa.Max(), sa.SumNS)
 	}
 }
 

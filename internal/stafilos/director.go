@@ -350,7 +350,7 @@ func (d *Director) totalQueued() int {
 // appear: a window-timeout deadline or a source's next external event.
 func (d *Director) nextHorizon() (time.Time, bool) {
 	best, found := EarliestDeadline(d.receivers)
-	for _, a := range d.wf.Sources() {
+	for _, a := range d.sources {
 		if ps, ok := a.(PushSource); ok && !ps.Exhausted() {
 			if t, ok := ps.NextEventTime(); ok && (!found || t.Before(best)) {
 				best, found = t, true

@@ -215,3 +215,41 @@ func TestDirectorHasPendingWorkAndAdvanceIdle(t *testing.T) {
 		t.Error("AdvanceIdle advanced with no horizon")
 	}
 }
+
+// TestAdvanceIdleAllocs is the idle path's allocation gate: n AdvanceIdle
+// calls of the sequential director with a paced source pending, counted
+// exactly inside one AllocsPerRun(1, …), allocate 0 in total. The source
+// set is fixed at Setup, so finding the next horizon builds nothing.
+func TestAdvanceIdleAllocs(t *testing.T) {
+	wf := model.NewWorkflow("idle")
+	src := actors.NewGenerator("src", ts(10), time.Second, 3, func(i int) value.Value {
+		return value.Int(int64(i))
+	})
+	sink := actors.NewCollect("sink")
+	wf.MustAdd(src, sink)
+	wf.MustConnect(src.Out(), sink.In())
+	d := stafilos.NewDirector(sched.NewFIFO(), stafilos.Options{Clock: clock.NewVirtual()})
+	if err := d.Setup(wf); err != nil {
+		t.Fatal(err)
+	}
+	// Warm up past the runtime's type-assertion cache: a call site's first
+	// misses fill it with one allocation, taken about 1 in 1024 times.
+	for range 1 << 16 {
+		d.AdvanceIdle()
+	}
+	const n = 1000
+	advanced := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		for range n {
+			if d.AdvanceIdle() {
+				advanced++
+			}
+		}
+	})
+	if advanced != 2*n { // AllocsPerRun warms up with one extra call
+		t.Fatalf("AdvanceIdle advanced %d times, want %d", advanced, 2*n)
+	}
+	if allocs != 0 {
+		t.Errorf("%d idle advances allocated %.0f objects in total, want 0", n, allocs)
+	}
+}

@@ -2,6 +2,7 @@ package stafilos
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/clock"
@@ -29,8 +30,10 @@ type scwf struct {
 
 	// Set by install, read-only afterwards. wf doubles as the set-up mark.
 	// recvByPort serves Receiver (introspection, RouteExpired); no firing
-	// reads it.
+	// reads it. sources is the source set install found, which the idle
+	// path reads instead of rebuilding it with wf.Sources().
 	wf         *model.Workflow
+	sources    []model.Actor
 	receivers  []*TMReceiver
 	recvByPort map[*model.Port]*TMReceiver
 }
@@ -109,12 +112,9 @@ func (c *scwf) install(wf *model.Workflow, recvClk clock.Clock, oneThread bool) 
 		c.receivers = append(c.receivers, r)
 		c.recvByPort[p] = r
 	}
-	sources := map[string]bool{}
-	for _, s := range wf.Sources() {
-		sources[s.Name()] = true
-	}
+	c.sources = wf.Sources()
 	for _, a := range wf.Actors() {
-		e := c.sched.Register(a, sources[a.Name()])
+		e := c.sched.Register(a, slices.Contains(c.sources, a))
 		e.stats = c.stats.Entry(a.Name())
 		if oneThread {
 			tk := event.NewTimekeeper()
@@ -147,7 +147,7 @@ func (c *scwf) wrapup() {
 }
 
 func (c *scwf) sourcesExhausted() bool {
-	for _, a := range c.wf.Sources() {
+	for _, a := range c.sources {
 		if sa, ok := a.(model.SourceActor); ok && !sa.Exhausted() {
 			return false
 		}
